@@ -909,10 +909,20 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
     output-scale pair set, deduped across chunks driver-side (the same
     legal small-result pinch as minhash_neardup). The corpus text never
     moves past the sign stage; buckets over ``bucket_cap`` docs are
-    counted and logged, not silently dropped."""
+    counted and logged, not silently dropped.
+
+    ``max_hamming`` above 3 raises ``ValueError``: the 4-chunk pigeonhole
+    would no longer guarantee recall. doc_ids are assumed non-negative
+    (``doc_a = -1`` marks the over-cap bucket count row)."""
     import logging
 
     from eristropy_ray.datapipe.dedup import hamming64_batch, simhash64_arrow
+
+    if max_hamming > 3:
+        raise ValueError(
+            f"max_hamming={max_hamming}: the 4-chunk split guarantees "
+            "recall only up to 3"
+        )
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -1423,10 +1433,14 @@ def _embedding_dim(path: str) -> int:
     Arrow batch cannot self-describe its dimensionality; resolving d
     once at plan-build time lets batch UDFs emit correctly-typed empty
     ``fixed_size_list`` columns for zero-row inputs (Ray's shuffle
-    concat requires every block's schema to agree)."""
+    concat requires every block's schema to agree). A zero-row table
+    has no row to measure: d is 0, so the plan emits typed empty
+    results."""
     import pyarrow.parquet as pq
 
     pf = pq.ParquetFile(path)
+    if pf.metadata.num_rows == 0:
+        return 0
     batch = next(pf.iter_batches(batch_size=1, columns=["embedding"]))
     return len(batch.column(0)[0])
 

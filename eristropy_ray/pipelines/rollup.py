@@ -18,6 +18,12 @@ first:
    ``mode="window_groups"`` is the reference-shaped (conv, day) exact
    grouping kept as a correctness cross-check.
 
+Plans 1 and 2 map over one path Dataset built by ``_path_dataset``
+(one fn call per file). That Dataset switches off Ray Data's operator
+resource reservation on its own context, so the fused map runs one task
+per CPU instead of half-wide; the session's global ``DataContext`` is
+never written. Plan 3 keeps reservation, which guards its exchange.
+
 Streaming properties: no driver-side materialization of the turn table;
 the rollup output is ~windows-sized (orders smaller than input); blocks
 are smaller still. Never call ray.init() here — the session owner does.
@@ -149,6 +155,32 @@ class RollupFileActor:
         return _rollup_table(project_turns(turns), self.cfg)
 
 
+def _path_dataset(files: list[str]) -> rd.Dataset:
+    """One-row-per-file Dataset that the colocated plans map over.
+
+    Mapped with ``batch_size=1`` it guarantees exactly one fn call per
+    file: map_batches cuts batches at 1 row no matter how from_items
+    packs paths into blocks, so a conversation is never split.
+    (read_parquet + override_num_blocks is only a hint: Ray's dynamic
+    block splitting can still cut a file — and therefore a conversation
+    — across blocks, which silently breaks the window contract; observed
+    on the hot-conversation file.) Default block packing (~1.3
+    paths/block) is kept: one block per path cost ~0.3 s of extra task
+    dispatch at 256 files for no correctness gain.
+
+    Operator resource reservation is switched off on THIS Dataset's own
+    context. Ray Data's reservation allocator gives the plan's input
+    operator an equal share it never uses, so a plan whose only work is
+    one map runs half-wide: one task at a time on 2 CPUs. ``from_items``
+    copies the session's DataContext and every downstream op (the
+    encode map, the parquet sink) shares that copy, so the caller's
+    global context is untouched.
+    """
+    paths = rd.from_items([{"path": f} for f in files])
+    paths.context.op_resource_reservation_enabled = False
+    return paths
+
+
 def rollup_files_colocated(
     files: list[str], cfg: RollupConfig = RollupConfig()
 ) -> rd.Dataset:
@@ -171,17 +203,7 @@ def rollup_files_colocated(
 
     from eristropy_ray.stages.rollup import _rollup_table
 
-    # A dataset of file paths with batch_size=1 guarantees exactly one
-    # fn call per file — map_batches cuts batches at 1 row no matter how
-    # from_items packs paths into blocks, so a conversation can never be
-    # split (read_parquet + override_num_blocks is only a hint: Ray's
-    # dynamic block splitting can still cut a file — and therefore a
-    # conversation — across blocks, which silently breaks the window
-    # contract. Observed in practice on the hot-conversation file.)
-    # Default block packing (~1.3 paths/block) is kept: forcing one block
-    # per path costs ~0.3 s of extra task dispatch at 256 files for no
-    # correctness gain (measured round 3).
-    paths = rd.from_items([{"path": f} for f in files])
+    paths = _path_dataset(files)
 
     def read_project_rollup(batch: pa.Table) -> pa.Table:
         import pyarrow.parquet as pq
@@ -229,11 +251,9 @@ def fused_rollup_encode_colocated(
     from eristropy_ray.stages.rollup import _rollup_table
 
     encode_fn = make_partition_encode_fn(enc_cfg)
-    # batch_size=1 guarantees each task call sees exactly one path (so the
-    # checkpoint stem below is always that file's); default block packing
-    # is kept — one-block-per-path cost ~0.3 s of dispatch overhead at 256
-    # files (measured round 3) for no correctness gain
-    paths = rd.from_items([{"path": f} for f in files])
+    # batch_size=1 below means each task call sees exactly one path, so
+    # the checkpoint stem is always that file's
+    paths = _path_dataset(files)
 
     def task(batch: pa.Table) -> pa.Table:
         import os

@@ -1108,6 +1108,32 @@ def test_neardup_queries_empty_result(ray_session, tmp_path):
     assert len(nd) == 0
 
 
+def test_knn_all_zero_row_embeddings(ray_session, tmp_path):
+    """A zero-row embeddings table yields an empty kNN result instead of
+    failing at plan build while resolving the dimensionality."""
+    import pyarrow.parquet as pq
+
+    from eristropy_ray.pipelines.queries import _embedding_dim, q_knn_all
+
+    emb = pa.table(
+        {
+            "vec_id": pa.array([], pa.int64()),
+            "embedding": pa.array([], pa.list_(pa.float32())),
+        }
+    )
+    pq.write_table(emb, tmp_path / "embeddings.parquet")
+    assert _embedding_dim(str(tmp_path / "embeddings.parquet")) == 0
+    assert q_knn_all(str(tmp_path)).count() == 0
+
+
+def test_simhash_neardup_rejects_unsound_max_hamming(tmp_path):
+    """The 4-chunk pigeonhole only guarantees recall up to Hamming 3."""
+    from eristropy_ray.pipelines.queries import q_simhash_neardup
+
+    with pytest.raises(ValueError, match="max_hamming"):
+        q_simhash_neardup(str(tmp_path), max_hamming=4)
+
+
 def test_ann_ivf_nprobe_clamped_to_centroids(ray_session):
     """n_probe larger than the trained centroid count must clamp, not
     crash with a ragged FixedSizeList (tiny corpora / small n_cells)."""

@@ -126,6 +126,9 @@ def test_registry_smoke_all_queries(ray_session):
     for name, fn in QUERIES.items():
         out = fn(sf)
         if isinstance(out, rd.Dataset):
+            # execute once: count() then schema() on the lazy plan would
+            # run it twice, the second time under an early-stopped limit
+            out = out.materialize()
             n = out.count()
             cols = out.schema().names
         elif isinstance(out, pa.Table):

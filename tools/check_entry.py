@@ -42,8 +42,9 @@ def main() -> int:
 
     def rows(obj) -> int:
         # NOTE: Dataset has a .columns *method*, so duck-typing on the
-        # attribute misroutes it to len() — use isinstance.
-        return obj.count() if isinstance(obj, Dataset) else len(obj)
+        # attribute misroutes it to len() — use isinstance. Materialize
+        # first so the plan executes once and the count reads the result.
+        return obj.materialize().count() if isinstance(obj, Dataset) else len(obj)
 
     res = e.entry()
     n = rows(res)
