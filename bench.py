@@ -51,7 +51,8 @@ _BENCH_FILES = 256  # same input layout at every num_cpus level; ~4 waves at 32 
 # estimator under intermittent interference), and emits the whole attempt
 # history plus a post-queries probe in the JSON so any reader can see gate
 # status. Probe and scaling invocations (GRAFT_SKIP_QUERIES=1) stay
-# single-shot — tools/probe_gate.py builds its own loop on top of them.
+# single-shot; repeated, seeded measurement is perfbench's job
+# (perfbench/run.py, declared by BENCHMARK.json).
 _CLEAN_FLAGSHIP_SEC = 2.7
 _GATE_MAX_ATTEMPTS = 5
 _GATE_SLEEP_SEC = 75.0

@@ -182,10 +182,16 @@ def content_hash64(text: str) -> int:
 
 
 def _token_byte_spans(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, ends) byte spans of ``\\S+`` tokens in a UTF-8 buffer —
-    the same full-Unicode whitespace set every other text op uses
-    (dedup._whitespace_mask), so token counts agree with token_counts
-    and the minhash/simhash word boundaries."""
+    """(starts, ends) byte spans of ``\\S+`` tokens in a UTF-8 buffer,
+    split on the full-Unicode whitespace set (dedup._whitespace_mask) —
+    the same word boundaries as minhash/simhash.
+
+    This is NOT the token definition of the registry's token counts
+    (``queries._WS_TOKEN_PAT``, used by ``token_counts`` and
+    ``q_seq_pack``), which split only on ASCII space, \\t, \\n, \\f and
+    \\r. The two counts differ on text holding other whitespace (\\x0b,
+    \\x1c-\\x1f, NBSP, ...): "a\\x0bb" is two tokens here and one there.
+    """
     from eristropy_ray.datapipe.dedup import _whitespace_mask
 
     if arr.size == 0:

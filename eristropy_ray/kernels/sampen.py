@@ -24,10 +24,16 @@ division + log, so the result is bit-identical to the reference's
 Two execution paths with identical counting:
 
 - matrix path (default for n <= SAMPEN_MATRIX_MAX_N): one n×n boolean
-  match matrix + m logical-AND diagonal shifts — O(n²) memory, fastest
-  for the short per-bucket windows the rollup engine produces;
+  match matrix + m logical-AND diagonal shifts — O(n²) memory;
 - offset path: streams over diagonal offsets d = j-i with O(n) memory per
-  step, for long windows (e.g. 1d-tier buckets of hot conversations).
+  step, for long signals.
+
+This is the single-signal kernel (the reference semantics, the per-user
+queries and the test oracle). The rollup engine does not call it: it
+computes every window of a tier at once with the ragged kernels of
+``kernels/batch_entropy.py``, which count the same A and B (sorted
+candidates, or the same match matrix for dense windows) and are verified
+bit-for-bit against this function.
 """
 
 from __future__ import annotations

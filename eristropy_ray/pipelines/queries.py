@@ -2931,36 +2931,81 @@ def q_distinct_users(sf_dir: str):
     )
 
 
+def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
+    """One HLL register row per event_type of the batch."""
+    from eristropy_ray.datapipe.sketch import hll_partial
+
+    if b.num_rows == 0:
+        return pa.table(
+            {
+                "event_type": pa.array([], pa.string()),
+                "regs": pa.array([], pa.binary()),
+            }
+        )
+    # one lexsort, then hll_partial over contiguous type segments
+    # (cardinality of event_type is tiny; no per-row pandas groupby)
+    et = b["event_type"].to_numpy(zero_copy_only=False)
+    uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    order = np.argsort(et, kind="stable")
+    et, uid = et[order], uid[order]
+    starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
+    bounds = np.append(starts, et.size)
+    return pa.table(
+        {
+            "event_type": pa.array(et[starts], pa.string()),
+            "regs": pa.array(
+                [
+                    hll_partial(uid[bounds[i] : bounds[i + 1]], p).tobytes()
+                    for i in range(starts.size)
+                ],
+                pa.binary(),
+            ),
+        }
+    )
+
+
+def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
+    """(event_type, bucket, n) HDR summary rows of the batch."""
+    from eristropy_ray.datapipe.sketch import hdr_partial
+
+    if b.num_rows == 0:
+        return pa.table(
+            {
+                "event_type": pa.array([], pa.string()),
+                "bucket": pa.array([], pa.int64()),
+                "n": pa.array([], pa.int64()),
+            }
+        )
+    # one lexsort, hdr_partial per contiguous type segment
+    et = b["event_type"].to_numpy(zero_copy_only=False)
+    val = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
+    order = np.argsort(et, kind="stable")
+    et, val = et[order], val[order]
+    starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
+    bounds = np.append(starts, et.size)
+    bs, ns, types = [], [], []
+    for i in range(starts.size):
+        bk, c = hdr_partial(val[bounds[i] : bounds[i + 1]], m)
+        bs.append(bk)
+        ns.append(c)
+        types.append(np.full(bk.size, et[starts[i]], dtype=object))
+    return pa.table(
+        {
+            "event_type": pa.array(np.concatenate(types).astype(str), pa.string()),
+            "bucket": pa.array(np.concatenate(bs).astype(np.int64), pa.int64()),
+            "n": pa.array(np.concatenate(ns).astype(np.int64), pa.int64()),
+        }
+    )
+
+
 def q_distinct_users_approx(sf_dir: str, p: int = 12):
     """HyperLogLog distinct users per event_type (rows-only; the error
     bound vs the exact count is pinned in tests). Each batch reduces to
     one 2^p-byte register row per event_type; merge is an elementwise
     max inside one tiny groupby."""
-    from eristropy_ray.datapipe.sketch import hll_estimate, hll_merge, hll_partial
+    from eristropy_ray.datapipe.sketch import hll_estimate, hll_merge
 
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        # one lexsort, then hll_partial over contiguous type segments
-        # (cardinality of event_type is tiny; no per-row pandas groupby)
-        et = b["event_type"].to_numpy(zero_copy_only=False)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(et, kind="stable")
-        et, uid = et[order], uid[order]
-        starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
-        bounds = np.append(starts, et.size)
-        return pa.table(
-            {
-                "event_type": pa.array(et[starts], pa.string()),
-                "regs": pa.array(
-                    [
-                        hll_partial(uid[bounds[i] : bounds[i + 1]], p).tobytes()
-                        for i in range(starts.size)
-                    ],
-                    pa.binary(),
-                ),
-            }
-        )
 
     def merge(df: pd.DataFrame) -> pd.DataFrame:
         regs = hll_merge([np.frombuffer(b, dtype=np.uint8) for b in df["regs"]])
@@ -2972,7 +3017,7 @@ def q_distinct_users_approx(sf_dir: str, p: int = 12):
         )
 
     return (
-        ds.map_batches(partial, batch_format="pyarrow")
+        ds.map_batches(_hll_partial_by_type, batch_format="pyarrow", fn_args=(p,))
         .groupby("event_type")
         .map_groups(merge, batch_format="pandas")
     )
@@ -2992,39 +3037,10 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     explicit pre-sum), the partials need NO summing aggregate — one
     hash shuffle colocates each event_type's few thousand summary rows
     and the finish consumes them directly."""
-    from eristropy_ray.datapipe.sketch import hdr_partial, hdr_quantiles
+    from eristropy_ray.datapipe.sketch import hdr_quantiles
 
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     qs = np.array([0.25, 0.5, 0.75, 0.99])
-
-    def partial(b: pa.Table) -> pa.Table:
-        # one lexsort, hdr_partial per contiguous type segment
-        et = b["event_type"].to_numpy(zero_copy_only=False)
-        val = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        order = np.argsort(et, kind="stable")
-        et, val = et[order], val[order]
-        starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
-        bounds = np.append(starts, et.size)
-        bs, ns, types = [], [], []
-        for i in range(starts.size):
-            bk, c = hdr_partial(val[bounds[i] : bounds[i + 1]], m)
-            bs.append(bk)
-            ns.append(c)
-            types.append(np.full(bk.size, et[starts[i]], dtype=object))
-        cat = np.concatenate if starts.size else lambda x: np.array([])
-        return pa.table(
-            {
-                "event_type": pa.array(
-                    cat(types).astype(str) if starts.size else [], pa.string()
-                ),
-                "bucket": pa.array(
-                    cat(bs).astype(np.int64) if starts.size else [], pa.int64()
-                ),
-                "n": pa.array(
-                    cat(ns).astype(np.int64) if starts.size else [], pa.int64()
-                ),
-            }
-        )
 
     def finish(df: pd.DataFrame) -> pd.DataFrame:
         est = hdr_quantiles(
@@ -3041,7 +3057,9 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     return (
         # batch_size=None: fold whole blocks — the summary is bucket-
         # bounded, so bigger batches mean strictly fewer partial rows.
-        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+        ds.map_batches(
+            _hdr_partial_by_type, batch_format="pyarrow", batch_size=None, fn_args=(m,)
+        )
         .groupby("event_type")
         .map_groups(finish, batch_format="pandas")
     )

@@ -6,7 +6,9 @@ Given (conv_id, turn_idx, ts, value) arrays for ANY set of conversations,
 sorts by (conv, ts, turn_idx) — the "stable turn ordering" invariant from
 BASELINE.json.input_hint — then for every retention tier emits one row per
 (conv_id, bucket) window with exact vectorized stats (reduceat) and the
-entropy kernels of the reference applied per window:
+entropy kernels of the reference applied per window — computed for all of a
+tier's windows of one series in ONE ragged pass (``_window_entropies``,
+``kernels/batch_entropy``), bit-identical to the scalar kernels:
 
 - ``sampen``/``permen``: computed on the first-differenced window series
   (the reference's stationarity preprocessing, stationarity.py:237-241,
@@ -28,8 +30,11 @@ import numpy as np
 import pandas as pd
 
 from eristropy_ray.config import TIER_STEPS_US, RollupConfig
-from eristropy_ray.kernels.permen import permen
-from eristropy_ray.kernels.sampen import sampen
+from eristropy_ray.kernels.batch_entropy import (
+    permen_ragged,
+    ragged_arange,
+    sampen_ragged,
+)
 
 ROLLUP_COLUMNS = (
     "conv_id",
@@ -46,17 +51,6 @@ ROLLUP_COLUMNS = (
     "sampen_raw",
     "permen_raw",
 )
-
-
-def _entropy_pair(x: np.ndarray, r: float, cfg: RollupConfig) -> tuple[float, float]:
-    """(sampen, permen) of one window series with the given radius
-    (scalar path, used for windows longer than the batch classes). The
-    radius comes from the full window even when the kernel runs on the
-    deterministic strided subsample."""
-    if x.size > cfg.max_window_points:
-        stride = -(-x.size // cfg.max_window_points)  # ceil division
-        x = x[::stride]
-    return sampen(x, cfg.m, r), permen(x, order=cfg.permen_order)
 
 
 def window_radii_from_moments(
@@ -99,12 +93,6 @@ def diff_window_radius(x: np.ndarray, r_frac: float) -> float:
     )[0])
 
 
-# padded-batch window-length classes; windows longer than the last class
-# take the scalar path (few — 1h/1d windows of very long conversations).
-# Each class pads to the actual max length present, not the class bound.
-_BATCH_CLASSES = (16, 128)
-
-
 def _window_entropies(
     v: np.ndarray,
     starts: np.ndarray,
@@ -115,35 +103,25 @@ def _window_entropies(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(sampen, permen) arrays over all windows; NaN where not eligible.
 
-    Small windows (the overwhelming majority — the 1m tier) go through the
-    padded batch kernels in length classes; large windows fall back to the
-    scalar kernels with the deterministic stride cap. A window's path is a
-    pure function of its length, so results are placement-independent.
-    Radii are precomputed once per tier (centered reduceat moments).
+    One ragged pass over every eligible window of the series
+    (``kernels/batch_entropy``): each window's kernel series is gathered
+    into one flat array — the deterministic stride cap thins windows
+    longer than ``cfg.max_window_points`` — and both kernels run on all of
+    them at once. The radius always comes from the full window (radii are
+    precomputed once per tier from centered reduceat moments). A window's
+    result depends only on its own values, so it is placement-independent.
     """
-    from eristropy_ray.kernels.batch_entropy import (
-        gather_padded,
-        permen_padded,
-        sampen_padded,
-    )
-
-    n_win = lengths.size
-    s_out = np.full(n_win, np.nan)
-    p_out = np.full(n_win, np.nan)
-    lo = 0
-    for L in _BATCH_CLASSES:
-        sel = np.flatnonzero(eligible & (lengths > lo) & (lengths <= L))
-        lo = L
-        if sel.size == 0:
-            continue
-        L_eff = int(lengths[sel].max())
-        P = gather_padded(v, starts[sel], lengths[sel], L_eff)
-        s_out[sel] = sampen_padded(P, lengths[sel], cfg.m, radii[sel])
-        p_out[sel] = permen_padded(P, lengths[sel], cfg.permen_order)
-    for w in np.flatnonzero(eligible & (lengths > _BATCH_CLASSES[-1])):
-        s_out[w], p_out[w] = _entropy_pair(
-            v[starts[w] : starts[w] + lengths[w]], radii[w], cfg
-        )
+    s_out = np.full(lengths.size, np.nan)
+    p_out = np.full(lengths.size, np.nan)
+    sel = np.flatnonzero(eligible)
+    n = lengths[sel]
+    stride = -(-n // cfg.max_window_points)  # ceil division
+    k = -(-n // stride)  # len(x[::stride])
+    bounds = np.zeros(sel.size + 1, dtype=np.int64)
+    np.cumsum(k, out=bounds[1:])
+    x = v[np.repeat(starts[sel], k) + ragged_arange(k) * np.repeat(stride, k)]
+    s_out[sel] = sampen_ragged(x, bounds, cfg.m, radii[sel])
+    p_out[sel] = permen_ragged(x, bounds, cfg.permen_order)
     return s_out, p_out
 
 

@@ -1769,3 +1769,46 @@ def test_batch_hash128_matches_scalar_bruteforce(texts):
     )
     np.testing.assert_array_equal(h1, want1)
     np.testing.assert_array_equal(h2, want2)
+
+
+def test_sketch_partials_zero_row_batch():
+    """The per-batch HDR and HLL partials return a typed empty table for a
+    zero-row batch instead of raising IndexError."""
+    from eristropy_ray.pipelines.queries import _hdr_partial_by_type, _hll_partial_by_type
+
+    batch = pa.table(
+        {
+            "event_type": pa.array([], pa.string()),
+            "user_id": pa.array([], pa.int64()),
+            "value": pa.array([], pa.float64()),
+        }
+    )
+    hdr = _hdr_partial_by_type(batch, 7)
+    assert hdr.num_rows == 0
+    assert hdr.schema == pa.schema(
+        [("event_type", pa.string()), ("bucket", pa.int64()), ("n", pa.int64())]
+    )
+    hll = _hll_partial_by_type(batch, 12)
+    assert hll.num_rows == 0
+    assert hll.schema == pa.schema([("event_type", pa.string()), ("regs", pa.binary())])
+
+
+@pytest.mark.parametrize("query", ["q_value_quantiles_hdr", "q_distinct_users_approx"])
+def test_sketch_queries_zero_row_events(ray_session, tmp_path, query):
+    """A zero-row events table gives an empty result."""
+    import pyarrow.parquet as pq
+
+    from eristropy_ray.pipelines import queries
+
+    events = pa.table(
+        {
+            "event_id": pa.array([], pa.int64()),
+            "ts": pa.array([], pa.timestamp("us")),
+            "user_id": pa.array([], pa.int64()),
+            "event_type": pa.array([], pa.string()),
+            "value": pa.array([], pa.float64()),
+            "props": pa.array([], pa.string()),
+        }
+    )
+    pq.write_table(events, tmp_path / "events.parquet")
+    assert len(getattr(queries, query)(str(tmp_path)).to_pandas()) == 0

@@ -4,15 +4,9 @@ import numpy as np
 import pandas as pd
 
 from eristropy_ray.config import TIER_STEPS_US, RollupConfig
-from eristropy_ray.kernels.batch_entropy import (
-    gather_padded,
-    permen_padded,
-    sampen_padded,
-)
 from eristropy_ray.kernels.permen import permen
 from eristropy_ray.kernels.sampen import sampen
 from eristropy_ray.stages.windows import (
-    _BATCH_CLASSES,
     diff_window_radius,
     raw_window_radius,
     rollup_windows,
@@ -20,21 +14,21 @@ from eristropy_ray.stages.windows import (
 
 
 def _entropies_oracle(x, cfg, r):
-    """Per-window entropy oracle replicating the engine's deterministic
-    path selection: padded-batch kernels (single-window batch) for small
-    windows, scalar kernels with stride cap beyond the last class. The
-    radius is derived from the full window via the shared helpers."""
+    """Per-window entropy oracle: the scalar kernels on the window's
+    kernel series — the deterministic stride cap thins windows longer than
+    ``cfg.max_window_points``. The radius is derived from the full window
+    via the shared helpers."""
     n = x.size
-    if n <= _BATCH_CLASSES[-1]:
-        L = next(c for c in _BATCH_CLASSES if n <= c)
-        P = gather_padded(x, np.array([0]), np.array([n]), n)
-        return (
-            sampen_padded(P, np.array([n]), cfg.m, np.array([r]))[0],
-            permen_padded(P, np.array([n]), cfg.permen_order)[0],
-        )
     if n > cfg.max_window_points:
         x = x[:: -(-n // cfg.max_window_points)]
     return sampen(x, cfg.m, r), permen(x, order=cfg.permen_order)
+
+
+def _same_bits(a, b):
+    """Equal as float64 bit patterns (``==`` accepts -0.0 for 0.0)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    return bool((a.view(np.uint64) == b.view(np.uint64)).all())
 
 
 def _make_turns(rng, n_convs=5, n_turns=200):
@@ -90,9 +84,7 @@ def _oracle(df, cfg):
     )
 
 
-def test_rollup_windows_matches_oracle(rng):
-    df = _make_turns(rng)
-    cfg = RollupConfig()
+def _assert_matches_oracle(df, cfg):
     got = pd.DataFrame(
         rollup_windows(
             df["conv_id"].to_numpy(dtype=object),
@@ -107,8 +99,53 @@ def test_rollup_windows_matches_oracle(rng):
     for col in ("n_turns", "value_mean", "value_min", "value_max"):
         np.testing.assert_array_equal(got[col].to_numpy(), want[col].to_numpy(), err_msg=col)
     for col in ("sampen", "permen", "sampen_raw", "permen_raw"):
-        a, b = got[col].to_numpy(), want[col].to_numpy()
-        assert ((a == b) | (np.isnan(a) & np.isnan(b))).all(), col
+        assert _same_bits(got[col].to_numpy(), want[col].to_numpy()), col
+    return got
+
+
+def test_rollup_windows_matches_oracle(rng):
+    _assert_matches_oracle(_make_turns(rng), RollupConfig())
+
+
+def _conv(name, values, gap_us=7_000_000, t0=1_700_000_000_000_000):
+    n = len(values)
+    return pd.DataFrame(
+        {
+            "conv_id": [name] * n,
+            "turn_idx": np.arange(n),
+            "ts": t0 + np.arange(n) * gap_us,
+            "value": np.asarray(values, dtype=np.float64),
+        }
+    )
+
+
+def test_degenerate_windows_match_oracle(rng):
+    """Constant, two-value and 3-turn windows, exact against the scalar
+    kernels; constant windows give SampEn -0.0 and PermEn 0.0."""
+    df = pd.concat(
+        [
+            _conv("const", np.full(400, 42.0)),
+            _conv("tied", rng.choice([3.0, 9.0], size=400)),
+            _conv("ramp", np.arange(300.0)),
+            # 3 turns per minute: 1m windows of 3 turns, under min_window
+            _conv("three", rng.integers(1, 500, size=90), gap_us=20_000_000),
+            _conv("gauss", np.round(rng.normal(size=500) * 100 + 300), gap_us=3_000_000),
+        ],
+        ignore_index=True,
+    )
+    got = _assert_matches_oracle(df, RollupConfig())
+    const = got[(got["conv_id"] == "const") & (got["n_turns"] >= 4)]
+    assert _same_bits(const["sampen_raw"], np.full(len(const), -0.0))
+    assert (const["permen_raw"] == 0.0).all()
+    three = got[(got["conv_id"] == "three") & (got["tier"] == "1m")]
+    assert three["sampen"].isna().all() and three["permen_raw"].isna().all()
+
+
+def test_zero_eligible_windows(rng):
+    # every window below min_window: all entropies NaN, stats still exact
+    df = _conv("sparse", rng.integers(1, 500, size=30), gap_us=25_000_000)
+    got = _assert_matches_oracle(df, RollupConfig(tiers=("1m",)))
+    assert got[["sampen", "permen", "sampen_raw", "permen_raw"]].isna().all().all()
 
 
 def test_skew_guard_strides_long_windows(rng):
@@ -132,6 +169,12 @@ def test_skew_guard_strides_long_windows(rng):
     # stats exact over all points, entropy over the strided subsample
     assert out["n_turns"].sum() == n
     assert np.isfinite(out["sampen"]).all()
+    # every window of both tiers is over the cap: exact vs the oracle
+    # (integer values, so the oracle's pandas means are exact too)
+    _assert_matches_oracle(
+        df.assign(value=np.round(df["value"])),
+        RollupConfig(tiers=("1h", "1d"), max_window_points=500),
+    )
 
 
 def test_empty_input():
