@@ -9,7 +9,7 @@ over a long-format signal Dataset (signal_id, ts_us, value[, tie]):
   sample (TPE conditions on history, like the reference's optuna loop;
   the gather is capped at ``sample_cap`` signals via a deterministic
   stride — see ``_collect_signals``), then per-signal SampEn
-  (± bootstrap SE) fanned out through ``_grouped`` with the scalar
+  (± bootstrap SE) fanned out through ``exchange`` with the scalar
   (m*, r*, p*) broadcast in the partition closure. Counter-keyed
   bootstrap seeds (``stable_key``) make the SE placement-independent,
   so the distributed pass is bit-identical to a driver loop.
@@ -49,7 +49,7 @@ from eristropy_ray.optimize import (
     ParamSpec,
     TPEOptimizer,
 )
-from eristropy_ray.pipelines.stationary import _grouped
+from eristropy_ray.pipelines.exchange import exchange
 
 
 class SampEnSettingWarning(UserWarning):
@@ -326,7 +326,7 @@ def compute_all_sampen(
     Dataset inputs are processed distributed end-to-end: the optimizer
     (when requested) gathers at most ``sample_cap`` signals chosen by a
     deterministic stride, and the final estimation pass fans out through
-    ``_grouped`` with the scalar stars in the closure — the full signal
+    ``exchange`` with the scalar stars in the closure — the full signal
     table never lands on the driver. DataFrame inputs (the reference's
     local API shape, sample_entropy.py:346) run the identical kernels
     in-process.
@@ -396,7 +396,7 @@ def compute_all_sampen(
             cfg.n_boot, cfg.random_seed or 0, estimate_uncertainty,
         )
         result = (
-            _grouped(signals, fn)
+            exchange(signals, "signal_id", fn)
             .to_pandas()  # output-scale: one row per signal
             .sort_values("signal_id", kind="stable")
             .reset_index(drop=True)
@@ -480,7 +480,7 @@ def sampen_efficiency(
         return pd.DataFrame(out)
 
     score_partition.__name__ = "sampen_eff_scores"
-    scores = _grouped(signals, score_partition).to_pandas()
+    scores = exchange(signals, "signal_id", score_partition).to_pandas()
     # np.median propagates NaN (reference extras.py:238 semantics);
     # pandas' median would silently skip failed signals
     med = (
@@ -509,5 +509,5 @@ def sampen_efficiency(
         return pd.DataFrame(out)
 
     final_partition.__name__ = "sampen_eff_final"
-    result = _grouped(signals, final_partition).to_pandas()
+    result = exchange(signals, "signal_id", final_partition).to_pandas()
     return result.sort_values("signal_id").reset_index(drop=True), info

@@ -25,20 +25,19 @@ import ray.data as rd
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from eristropy_ray.config import EncodeConfig, RollupConfig
+from eristropy_ray.pipelines.exchange import (
+    exchange,
+    keyed_combine,
+    partition_of,
+    segment_rank,
+    segment_starts,
+)
 from eristropy_ray.stages.signals import (
     adf_partition,
     difference_partition,
     entropy_partition,
     zscore_partition,
 )
-
-_NPARTS = 32  # hash buckets for grouped signal ops (2×CPU at test scale)
-
-
-def _hash_part(ids: np.ndarray) -> np.ndarray:
-    """Knuth multiplicative hash -> partition id. ONE definition for every
-    co-location argument in this module ("same key -> same part")."""
-    return (np.asarray(ids, dtype=np.int64) * 2654435761 % (2**31 - 1)) % _NPARTS
 
 US_1H = 3_600_000_000
 US_1D = 86_400_000_000
@@ -75,144 +74,62 @@ def _read(path: str, columns: list[str] | None = None, **kw) -> rd.Dataset:
 
 
 def _events_signals(sf_dir: str) -> rd.Dataset:
-    """events -> (signal_id, ts_us, value, tie, part)."""
+    """events -> (signal_id, ts_us, value, tie)."""
     ds = _read(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id", "value"]
     )
 
     def project(b: pa.Table) -> pa.Table:
-        sid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        part = _hash_part(sid)
         return pa.table(
             {
-                "signal_id": pa.array(sid, pa.int64()),
+                "signal_id": pc.cast(b["user_id"], pa.int64()),
                 "ts_us": pc.cast(b["ts"], pa.int64()),
                 "value": b["value"],
                 "tie": pc.cast(b["event_id"], pa.int64()),
-                "part": pa.array(part, pa.int64()),
             }
         )
 
     return ds.map_batches(project, batch_format="pyarrow")
 
 
-def _grouped(ds: rd.Dataset, fn) -> rd.Dataset:
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns=["part"]))
-
-    wrapper.__name__ = fn.__name__
-    return ds.groupby("part").map_groups(wrapper, batch_format="pandas")
-
-
 # ---------------------------------------------------------------- queries
 
-def _user_counts(sf_dir: str, nparts: int = 64) -> rd.Dataset:
-    """(user_id, n_obs) via per-batch collapse + part-hash combine: the
+def _user_counts(sf_dir: str) -> rd.Dataset:
+    """(user_id, n_obs) via per-batch collapse + keyed combine: the
     shuffle carries (users x blocks) partial rows, not one row per
     event, and skips Ray's sort-based Aggregate fixed cost."""
     ds = _read(f"{sf_dir}/events.parquet", columns=["user_id"])
-
-    def partial(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        u, c = np.unique(uid, return_counts=True)
-        part = (u.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
-            nparts
-        )
-        return pa.table(
-            {
-                "part": pa.array(part.astype(np.int64), pa.int64()),
-                "user_id": pa.array(u, pa.int64()),
-                "n_obs": pa.array(c.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        uid = df["user_id"].to_numpy(dtype=np.int64)
-        n = df["n_obs"].to_numpy(dtype=np.int64)
-        order = np.argsort(uid, kind="stable")
-        uid, n = uid[order], n[order]
-        st = np.flatnonzero(np.concatenate(([True], uid[1:] != uid[:-1])))
-        return pd.DataFrame(
-            {"user_id": uid[st], "n_obs": np.add.reduceat(n, st)}
-        )
-
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "user_count_combine"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
-    )
+    return keyed_combine(ds, ["user_id"], {"n_obs": "count"})
 
 
-def q_signal_counts(sf_dir: str, nparts: int = 64):
+def q_signal_counts(sf_dir: str):
     """V3-style per-signal sizes + exact min/max (validation surface).
     Partial-collapsed per batch (count/min/max are mergeable), then the
-    part-hash combine — the shuffle carries partial rows, not events."""
+    keyed combine — the shuffle carries partial rows, not events."""
     ds = _read(f"{sf_dir}/events.parquet", columns=["user_id", "value"])
 
-    def partial(b: pa.Table) -> pa.Table:
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        order = np.argsort(uid, kind="stable")
-        uid, v = uid[order], v[order]
-        st = np.flatnonzero(np.concatenate(([True], uid[1:] != uid[:-1])))
-        u = uid[st]
-        part = (u.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
-            nparts
-        )
+    def project(b: pa.Table) -> pa.Table:
+        v = pc.cast(b["value"], pa.float64())
         return pa.table(
             {
-                "part": pa.array(part.astype(np.int64), pa.int64()),
-                "user_id": pa.array(u, pa.int64()),
-                "n_obs": pa.array(
-                    np.diff(np.append(st, uid.size)), pa.int64()
-                ),
-                "value_min": pa.array(
-                    np.minimum.reduceat(v, st), pa.float64()
-                ),
-                "value_max": pa.array(
-                    np.maximum.reduceat(v, st), pa.float64()
-                ),
+                "user_id": pc.cast(b["user_id"], pa.int64()),
+                "value_min": v,
+                "value_max": v,
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        uid = df["user_id"].to_numpy(dtype=np.int64)
-        n = df["n_obs"].to_numpy(dtype=np.int64)
-        vmin = df["value_min"].to_numpy(dtype=np.float64)
-        vmax = df["value_max"].to_numpy(dtype=np.float64)
-        order = np.argsort(uid, kind="stable")
-        uid, n, vmin, vmax = uid[order], n[order], vmin[order], vmax[order]
-        st = np.flatnonzero(np.concatenate(([True], uid[1:] != uid[:-1])))
-        return pd.DataFrame(
-            {
-                "user_id": uid[st],
-                "n_obs": np.add.reduceat(n, st),
-                "value_min": np.minimum.reduceat(vmin, st),
-                "value_max": np.maximum.reduceat(vmax, st),
-            }
-        )
-
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "signal_counts_combine"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    return keyed_combine(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["user_id"],
+        {"n_obs": "count", "value_min": "min", "value_max": "max"},
     )
 
 
 def q_min_signal_length(sf_dir: str):
     """min group size guard (sample_entropy.py:106-111)."""
-    counts = _user_counts(sf_dir)
-    if counts.count() == 0:  # empty table: Dataset.min returns None
-        return pd.DataFrame({"min_len": pd.Series(dtype="int64")})
-    return pd.DataFrame({"min_len": [int(counts.min("n_obs"))]})
+    m = _user_counts(sf_dir).min("n_obs")  # None on an empty table
+    # MIN over zero groups is one NULL row, as in the SQL twin
+    return pd.DataFrame({"min_len": [np.nan if m is None else int(m)]})
 
 
 def q_doc_len(sf_dir: str):
@@ -282,119 +199,59 @@ def q_doc_len_quantiles(
 
 def q_difference(sf_dir: str):
     """T2 per-signal first difference (difference.py:29-81)."""
-    return _grouped(_events_signals(sf_dir), difference_partition).select_columns(
-        ["signal_id", "ts_us", "value"]
-    )
+    return exchange(
+        _events_signals(sf_dir), "signal_id", difference_partition
+    ).select_columns(["signal_id", "ts_us", "value"])
 
 
 def q_zscore(sf_dir: str):
     """A4 per-signal z-score, ddof=1 (stationarity.py:278-281)."""
-    return _grouped(_events_signals(sf_dir), zscore_partition).select_columns(
-        ["signal_id", "ts_us", "value"]
-    )
+    return exchange(
+        _events_signals(sf_dir), "signal_id", zscore_partition
+    ).select_columns(["signal_id", "ts_us", "value"])
 
 
-def _bucket_rollup(sf_dir: str, step_us: int, nparts: int = 64):
-    """Continuous-aggregate rollup with the scalable partial-agg pattern:
-    exact integer-micro partials per batch, then one hash exchange on a
-    ``part`` key and a vectorized per-partition combine. (Round 5: the
-    part-hash combine replaced ``groupby(keys).aggregate(...)`` — same
-    shuffle volume, but Ray's sort-based Aggregate cost ~2.4 s of fixed
-    machinery on 4.5 MB of partials; the part plan reads 2.8x faster at
-    sf0.1 and is bit-equal because every merge op is order-insensitive:
-    int64 sums, float min/max.)"""
+def _bucket_rollup(sf_dir: str, step_us: int):
+    """Continuous-aggregate rollup as one keyed combine on (user, bucket):
+    exact integer-micro sums per batch, merged after one exchange.
+    (Round 5: the combine replaced ``groupby(keys).aggregate(...)`` —
+    same shuffle volume, but Ray's sort-based Aggregate cost ~2.4 s of
+    fixed machinery on 4.5 MB of partials; the combine reads 2.8x faster
+    at sf0.1 and is bit-equal because every merge op is
+    order-insensitive: int64 sums, float min/max.)"""
     ds = _read(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
 
-    def partial(b: pa.Table) -> pa.Table:
-        # segmented numpy reduction (lexsort + reduceat), ~2x faster per
-        # batch than the pandas groupby it replaced and bit-identical
+    def project(b: pa.Table) -> pa.Table:
         ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        bucket = ts - ts % step_us
-        vmu = np.round(v * 1e6).astype(np.int64)
-        order = np.lexsort((bucket, uid))
-        su, sb = uid[order], bucket[order]
-        sv, svmu = v[order], vmu[order]
-        n = su.size
-        if n == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            empty_f = np.empty(0, dtype=np.float64)
-            return pa.table(
-                {
-                    "part": pa.array(empty_i, pa.int64()),
-                    "user_id": pa.array(empty_i, pa.int64()),
-                    "bucket_us": pa.array(empty_i, pa.int64()),
-                    "n_obs": pa.array(empty_i, pa.int64()),
-                    "sum_mu": pa.array(empty_i, pa.int64()),
-                    "value_min": pa.array(empty_f, pa.float64()),
-                    "value_max": pa.array(empty_f, pa.float64()),
-                }
-            )
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = (su[1:] != su[:-1]) | (sb[1:] != sb[:-1])
-        starts = np.flatnonzero(change)
-        part = (
-            su[starts].astype(np.uint64) * np.uint64(2654435761)
-        ) % np.uint64(nparts)
+        val = pa.array(v, pa.float64())
         return pa.table(
             {
-                "part": pa.array(part.astype(np.int64), pa.int64()),
-                "user_id": pa.array(su[starts], pa.int64()),
-                "bucket_us": pa.array(sb[starts], pa.int64()),
-                "n_obs": pa.array(
-                    np.diff(np.append(starts, n)), pa.int64()
-                ),
-                "sum_mu": pa.array(np.add.reduceat(svmu, starts), pa.int64()),
-                "value_min": pa.array(
-                    np.minimum.reduceat(sv, starts), pa.float64()
-                ),
-                "value_max": pa.array(
-                    np.maximum.reduceat(sv, starts), pa.float64()
-                ),
+                "user_id": pc.cast(b["user_id"], pa.int64()),
+                "bucket_us": pa.array(ts - ts % step_us, pa.int64()),
+                "value_min": val,
+                "value_max": val,
+                "sum_mu": pa.array(np.round(v * 1e6).astype(np.int64), pa.int64()),
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        # one lexsort + reduceat merge of the partition's partials, then
-        # finalize in place (int64 sums / float min-max: order-free)
-        uid = df["user_id"].to_numpy(dtype=np.int64)
-        bkt = df["bucket_us"].to_numpy(dtype=np.int64)
-        order = np.lexsort((bkt, uid))
-        uid, bkt = uid[order], bkt[order]
-        n_obs = df["n_obs"].to_numpy(dtype=np.int64)[order]
-        smu = df["sum_mu"].to_numpy(dtype=np.int64)[order]
-        vmin = df["value_min"].to_numpy(dtype=np.float64)[order]
-        vmax = df["value_max"].to_numpy(dtype=np.float64)[order]
-        ch = np.empty(uid.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = (uid[1:] != uid[:-1]) | (bkt[1:] != bkt[:-1])
-        st = np.flatnonzero(ch)
-        n2 = np.add.reduceat(n_obs, st)
-        vsum = np.add.reduceat(smu, st).astype(np.float64) / 1e6
-        return pd.DataFrame(
-            {
-                "user_id": uid[st],
-                "bucket_us": bkt[st],
-                "n_obs": n2,
-                "value_min": np.minimum.reduceat(vmin, st),
-                "value_max": np.maximum.reduceat(vmax, st),
-                "value_sum": vsum,
-                "value_mean": vsum / n2,
-            }
+    def finish(t: pa.Table) -> pa.Table:
+        n = t["n_obs"].to_numpy()
+        vsum = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+        return (
+            t.drop_columns(["sum_mu"])
+            .append_column("value_sum", pa.array(vsum, pa.float64()))
+            .append_column("value_mean", pa.array(vsum / n, pa.float64()))
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "rollup_combine"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    return keyed_combine(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["user_id", "bucket_us"],
+        {"n_obs": "count", "value_min": "min", "value_max": "max",
+         "sum_mu": "sum"},
+        finish,
     )
 
 
@@ -416,58 +273,35 @@ def q_doc_counts_by_lang(sf_dir: str):
     return ds.groupby("lang").aggregate(Count(alias_name="n_docs"))
 
 
-def q_dedup_exact(sf_dir: str, nparts: int = 64):
-    """Exact dedup: hash-partition by 128-bit content hash, keep min
-    doc_id. Hashing is one vectorized pass over the Arrow string
-    column's flat buffer + offsets (``batch_hash128`` — C-speed rolling
-    hashes, no per-row Python; replaced the ``Series.map(sha1)`` loop
-    flagged in VERDICT r4), and the shuffle carries two int64 key
-    columns instead of 40-char hex strings. The combine is the
-    part-hash plan (``part = h1 % nparts`` — every row of a hash group
-    lands in one partition, so the per-partition lexsort + first/count
-    is globally exact); it replaced ``groupby((h1,h2)).aggregate`` for
-    the same fixed-shuffle-machinery reason as ``_bucket_rollup``."""
+def q_dedup_exact(sf_dir: str):
+    """Exact dedup: group by 128-bit content hash, keep min doc_id.
+    Hashing is one vectorized pass over the Arrow string column's flat
+    buffer + offsets (``batch_hash128`` — C-speed rolling hashes, no
+    per-row Python; replaced the ``Series.map(sha1)`` loop flagged in
+    VERDICT r4), and the shuffle carries two int64 key columns instead
+    of 40-char hex strings. The group-by is the keyed combine on
+    (h1, h2) — min doc_id and a count per hash, merged after one
+    exchange on h1; it replaced ``groupby((h1,h2)).aggregate`` for the
+    same fixed-shuffle-machinery reason as ``_bucket_rollup``."""
     from eristropy_ray.datapipe.dedup import batch_hash128
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def hash_batch(b: pa.Table) -> pa.Table:
         h1, h2 = batch_hash128(b["text"])
-        part = (h1 % np.uint64(nparts)).astype(np.int64)
         return pa.table(
             {
-                "part": pa.array(part, pa.int64()),
-                "doc_id": b["doc_id"],
                 "h1": pa.array(h1.view(np.int64), pa.int64()),
                 "h2": pa.array(h2.view(np.int64), pa.int64()),
+                "doc_id": pc.cast(b["doc_id"], pa.int64()),
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        h1 = df["h1"].to_numpy(dtype=np.int64)
-        h2 = df["h2"].to_numpy(dtype=np.int64)
-        did = df["doc_id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((did, h2, h1))
-        h1, h2, did = h1[order], h2[order], did[order]
-        ch = np.empty(h1.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
-        st = np.flatnonzero(ch)
-        return pd.DataFrame(
-            {
-                "doc_id": did[st],  # doc_id is the last lexsort key -> min
-                "n_dupes": np.diff(np.append(st, h1.size)).astype(np.int64),
-            }
-        )
-
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "dedup_combine"
-    return (
-        ds.map_batches(hash_batch, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    return keyed_combine(
+        ds.map_batches(hash_batch, batch_format="pyarrow"),
+        ["h1", "h2"],
+        {"doc_id": "min", "n_dupes": "count"},
+        lambda t: t.select(["doc_id", "n_dupes"]),
     )
 
 
@@ -608,7 +442,7 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
 
 def q_sampen_per_signal(sf_dir: str):
     """O4 analogue: per-signal SampEn/PermEn (rows-only; not SQL)."""
-    return _grouped(_events_signals(sf_dir), entropy_partition)
+    return exchange(_events_signals(sf_dir), "signal_id", entropy_partition)
 
 
 def q_adf_stationarity(sf_dir: str):
@@ -618,23 +452,8 @@ def q_adf_stationarity(sf_dir: str):
     signal (rows-only; not SQL)."""
     from eristropy_ray.kernels.multitest import holm_sidak
 
-    diffed = _grouped(_events_signals(sf_dir), difference_partition)
-
-    def rekey(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = _hash_part(df["signal_id"].to_numpy())
-        df["tie"] = 0
-        return df
-
-    pvals = (
-        diffed.map_batches(rekey, batch_format="pandas")
-        .groupby("part")
-        .map_groups(
-            lambda df: adf_partition(df.drop(columns=["part"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    diffed = exchange(_events_signals(sf_dir), "signal_id", difference_partition)
+    pvals = exchange(diffed, "signal_id", adf_partition).to_pandas()
     pvals = pvals.sort_values("signal_id").reset_index(drop=True)
     reject, corrected = holm_sidak(pvals["pvalue"].to_numpy(), alpha=0.05)
     pvals["stationary"] = reject
@@ -787,7 +606,9 @@ def q_sampen_optimized(sf_dir: str):
         cfg = SampEnConfig(random_seed=17, n_boot=20, n_trials=10, m=2)
     # the reference's r_range is for normalized signals (the
     # StationarySignals output) — z-score first, as its flow does
-    normalized = _grouped(_events_signals(sf_dir), zscore_plain_partition)
+    normalized = exchange(
+        _events_signals(sf_dir), "signal_id", zscore_plain_partition
+    )
     out, _ = compute_all_sampen(
         normalized, cfg, optimize=True, estimate_uncertainty=True
     )
@@ -800,7 +621,9 @@ def q_sampen_efficiency(sf_dir: str):
     from eristropy_ray.pipelines.entropy import sampen_efficiency
     from eristropy_ray.stages.signals import zscore_plain_partition
 
-    normalized = _grouped(_events_signals(sf_dir), zscore_plain_partition)
+    normalized = exchange(
+        _events_signals(sf_dir), "signal_id", zscore_plain_partition
+    )
     out, _ = sampen_efficiency(
         normalized, m=2, r_range=(0.1, 0.5), random_seed=17
     )
@@ -893,6 +716,28 @@ def q_simhash(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _bucket_pairs(
+    codes: np.ndarray, ids: np.ndarray, cap: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every pair of rows sharing a bucket code, buckets of 2..``cap``
+    rows only, fully vectorized (no Python loop over buckets): with rows
+    sorted by (bucket, id), the row at position p of its bucket is the
+    b-side of p pairs with the rows before it. Returns the a-side and
+    b-side row indices and the number of buckets over ``cap``."""
+    order = np.lexsort((ids, codes))
+    sizes = np.bincount(codes)
+    rows = order[((sizes >= 2) & (sizes <= cap))[codes[order]]]
+    _, code = np.unique(codes[rows], return_inverse=True)
+    starts = np.concatenate(([0], np.cumsum(np.bincount(code))[:-1]))
+    pos = np.arange(rows.size) - starts[code]
+    firsts = np.cumsum(pos) - pos
+    a_idx = np.repeat(starts[code], pos) + (
+        np.arange(int(pos.sum())) - np.repeat(firsts, pos)
+    )
+    b_idx = np.repeat(np.arange(rows.size), pos)
+    return rows[a_idx], rows[b_idx], int((sizes > cap).sum())
+
+
 def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
     """SimHash near-dup pairs: Hamming(sig_a, sig_b) <= ``max_hamming``
     over 64-bit word-unigram SimHash (rows-only; the SQL-expressible
@@ -940,55 +785,25 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
                 "bucket": pa.array(bucket, pa.int64()),
                 "doc_id": pa.array(np.repeat(ids, 4), pa.int64()),
                 "sig": pa.array(rep_sig.view(np.int64), pa.int64()),
-                "part": pa.array(bucket % _NPARTS, pa.int64()),
             }
         )
 
     banded = docs.map_batches(sign, batch_format="pyarrow")
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # segment-local all-pairs expansion (the minhash pattern) with
-        # the sigs carried along; Hamming verify inline, fully vectorized
-        codes = df.groupby("bucket", sort=False).ngroup().to_numpy()
+        # the minhash pair expansion with the sigs carried along; Hamming
+        # verify inline, fully vectorized
         ids = df["doc_id"].to_numpy()
         sigs = df["sig"].to_numpy().view(np.uint64)
-        order = np.lexsort((ids, codes))
-        codes, ids, sigs = codes[order], ids[order], sigs[order]
-        sizes = np.bincount(codes) if codes.size else np.empty(0, np.int64)
-        n_over = int((sizes > bucket_cap).sum())
-        keep = (
-            ((sizes >= 2) & (sizes <= bucket_cap))[codes]
-            if codes.size
-            else codes.astype(bool)
+        codes = df.groupby("bucket", sort=False).ngroup().to_numpy()
+        a, b, n_over = _bucket_pairs(codes, ids, bucket_cap)
+        ham = hamming64_batch(sigs[a], sigs[b])
+        ok = ham <= max_hamming
+        out = (
+            pd.DataFrame({"doc_a": ids[a][ok], "doc_b": ids[b][ok], "hamming": ham[ok]})
+            .drop_duplicates(["doc_a", "doc_b"])
+            .astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
         )
-        codes, ids, sigs = codes[keep], ids[keep], sigs[keep]
-        cols = {"doc_a": [], "doc_b": [], "hamming": []}
-        out = pd.DataFrame(cols).astype(
-            {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
-        )
-        if ids.size:
-            _, codes = np.unique(codes, return_inverse=True)
-            seg_sizes = np.bincount(codes)
-            starts = np.concatenate(([0], np.cumsum(seg_sizes)[:-1]))
-            pos = np.arange(ids.size) - starts[codes]
-            firsts = np.cumsum(pos) - pos
-            a_idx = np.repeat(starts[codes], pos) + (
-                np.arange(int(pos.sum())) - np.repeat(firsts, pos)
-            )
-            b_idx = np.repeat(np.arange(ids.size), pos)
-            ham = hamming64_batch(sigs[a_idx], sigs[b_idx])
-            ok = ham <= max_hamming
-            out = (
-                pd.DataFrame(
-                    {
-                        "doc_a": ids[a_idx][ok],
-                        "doc_b": ids[b_idx][ok],
-                        "hamming": ham[ok],
-                    }
-                )
-                .drop_duplicates(["doc_a", "doc_b"])
-                .astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
-            )
         if n_over:  # sentinel row; filtered + logged driver-side
             out = pd.concat(
                 [out, pd.DataFrame({"doc_a": [-1], "doc_b": [n_over], "hamming": [-1]})],
@@ -996,16 +811,7 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
             ).astype({"doc_a": "int64", "doc_b": "int64", "hamming": "int64"})
         return out
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return bucket_pairs(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "simhash_bucket_pairs"
-
-    pairs = (
-        banded.groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
-        .to_pandas()
-    )
+    pairs = exchange(banded, "bucket", bucket_pairs).to_pandas()
     n_over_total = (
         int(pairs.loc[pairs["doc_a"] < 0, "doc_b"].sum()) if len(pairs) else 0
     )
@@ -1083,14 +889,11 @@ def q_seq_pack(sf_dir: str, capacity: int = 256, n_parts: int = 32):
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def tag(b: pa.Table) -> pa.Table:
-        ids = b.column("doc_id").to_numpy().astype(np.int64)
-        part = (ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(
-            n_parts
-        )
+        ids = pc.cast(b["doc_id"], pa.int64())
         return pa.table(
             {
-                "part": pa.array(part.astype(np.int64), pa.int64()),
-                "doc_id": pa.array(ids, pa.int64()),
+                "part": pa.array(partition_of(ids, n_parts), pa.int64()),
+                "doc_id": ids,
                 "n_tokens": pc.cast(
                     pc.count_substring_regex(b["text"], pattern=_WS_TOKEN_PAT),
                     pa.int64(),
@@ -1227,49 +1030,21 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
                 ),
                 "band_id": pa.array(band_id.astype(np.int64), pa.int64()),
                 "band_hash": pa.array(bh, pa.int64()),
-                # hash-partition buckets so pair generation is one UDF call
-                # per partition, not one per LSH bucket
-                "part": pa.array(bh % _NPARTS, pa.int64()),
             }
         )
 
     banded = docs.map_batches(sign, batch_format="pyarrow")
 
     def bucket_pairs(df: pd.DataFrame) -> pd.DataFrame:
-        # fully vectorized within the partition: bucket codes + sizes via
-        # ngroup/bincount, then segment-local all-pairs expansion (each
-        # id-sorted element at local position p is the b-side of p pairs
-        # with all earlier elements of its bucket) — no Python loop over
-        # LSH buckets
         df = df.drop_duplicates(["band_id", "band_hash", "doc_id"])
-        codes = df.groupby(["band_id", "band_hash"], sort=False).ngroup().to_numpy()
         ids = df["doc_id"].to_numpy()
-        order = np.lexsort((ids, codes))
-        codes, ids = codes[order], ids[order]
-        sizes = np.bincount(codes) if codes.size else np.empty(0, np.int64)
-        n_over = int((sizes > bucket_cap).sum())
-        keep = ((sizes >= 2) & (sizes <= bucket_cap))[codes] if codes.size else codes.astype(bool)
-        codes, ids = codes[keep], ids[keep]
-        if ids.size:
-            _, codes = np.unique(codes, return_inverse=True)
-            seg_sizes = np.bincount(codes)
-            starts = np.concatenate(([0], np.cumsum(seg_sizes)[:-1]))
-            pos = np.arange(ids.size) - starts[codes]
-            b_side = np.repeat(ids, pos)
-            firsts = np.cumsum(pos) - pos
-            a_idx = np.repeat(starts[codes], pos) + (
-                np.arange(int(pos.sum())) - np.repeat(firsts, pos)
-            )
-            out = (
-                pd.DataFrame({"doc_a": ids[a_idx], "doc_b": b_side})
-                .drop_duplicates()
-                .astype({"doc_a": "int64", "doc_b": "int64"})
-            )
-        else:
-            out = pd.DataFrame(
-                {"doc_a": pd.Series(dtype="int64"),
-                 "doc_b": pd.Series(dtype="int64")}
-            )
+        codes = df.groupby(["band_id", "band_hash"], sort=False).ngroup().to_numpy()
+        a, b, n_over = _bucket_pairs(codes, ids, bucket_cap)
+        out = (
+            pd.DataFrame({"doc_a": ids[a], "doc_b": ids[b]})
+            .drop_duplicates()
+            .astype({"doc_a": "int64", "doc_b": "int64"})
+        )
         if n_over:  # sentinel row; filtered + logged driver-side
             out = pd.concat(
                 [out, pd.DataFrame({"doc_a": [-1], "doc_b": [n_over]})],
@@ -1277,19 +1052,12 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
             ).astype({"doc_a": "int64", "doc_b": "int64"})
         return out
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return bucket_pairs(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "bucket_pairs"
-
     # candidate pairs are tiny relative to the corpus — collecting them
     # (NOT the corpus) is the legal small-result pinch point; dedupe of
-    # pairs surfacing from several bands happens here too
-    pairs_pd = (
-        banded.groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
-        .to_pandas()
-    )
+    # pairs surfacing from several bands happens here too. Exchanging on
+    # band_hash makes pair generation one UDF call per partition, not
+    # one per LSH bucket.
+    pairs_pd = exchange(banded, "band_hash", bucket_pairs).to_pandas()
     n_over_total = (
         int(pairs_pd.loc[pairs_pd["doc_a"] < 0, "doc_b"].sum())
         if len(pairs_pd)
@@ -1357,7 +1125,6 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
                     "pid": pa.array(empty, pa.int64()),
                     "side": pa.array(empty, pa.int64()),
                     "text": pa.array([], pa.string()),
-                    "part": pa.array(empty, pa.int64()),
                 }
             )
         idx = np.searchsorted(cids, ids[rows])
@@ -1375,7 +1142,6 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
                 "pid": pa.array(o_pid[flat], pa.int64()),
                 "side": pa.array(o_side[flat], pa.int64()),
                 "text": text,
-                "part": pa.array(o_pid[flat] % _NPARTS, pa.int64()),
             }
         )
 
@@ -1383,7 +1149,6 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
 
     def verify(df: pd.DataFrame) -> pd.DataFrame:
         p_a, p_b = _ray_mod.get(pairs_ref)
-        df = df.drop(columns=["part"])
         a_rows = df[df["side"] == 0][["pid", "text"]].rename(
             columns={"text": "text_a"}
         )
@@ -1418,11 +1183,7 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
         )
 
     verify.__name__ = "verify_pairs"
-    out = (
-        tagged.groupby("part")
-        .map_groups(verify, batch_format="pandas")
-        .to_pandas()
-    )
+    out = exchange(tagged, "pid", verify).to_pandas()
     return out.sort_values(["doc_a", "doc_b"], kind="stable").reset_index(drop=True)
 
 
@@ -1467,12 +1228,7 @@ def _merge_topk(tbl: pa.Table, k: int) -> pa.Table:
     qid, nid, sim = qid[order], nid[order], sim[order]
     keep = nid != qid  # drop self-match
     qid, nid, sim = qid[keep], nid[keep], sim[keep]
-    # rank within each query run (qid-sorted): cumcount via segment starts
-    starts = np.flatnonzero(np.concatenate(([True], qid[1:] != qid[:-1])))
-    rank = np.arange(qid.size) - np.repeat(
-        starts, np.diff(np.concatenate((starts, [qid.size])))
-    )
-    top = rank < k
+    top = segment_rank(qid) < k  # rank within each (qid-sorted) query run
     return pa.table(
         {
             "vec_id": pa.array(qid[top].astype(np.int64)),
@@ -1491,21 +1247,21 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
 
     Scale shape (no full-corpus driver read or single-object broadcast):
       1. one ``map_batches`` unit-normalizes each batch and emits, per
-         vector, a member row in its own corpus partition
+         vector, a member row in its own corpus shard
          (``vec_id % n_parts``) that DOUBLES as its query row there, plus
-         query copies to the other ``n_parts - 1`` partitions — exactness
-         requires every query to meet every corpus partition, so the
+         query copies to the other ``n_parts - 1`` shards — exactness
+         requires every query to meet every corpus shard, so the
          shuffle carries ``n_parts`` x the embedding table (the exact-kNN
          tax; the IVF path is the sub-linear alternative);
-      2. ``groupby(part)`` computes per-partition top-(k+1) partials with
+      2. ``groupby(shard)`` computes per-shard top-(k+1) partials with
          the (rounded sim DESC, id ASC) integer selection key — any
          global top-k neighbor of q is beaten by < k non-self rows
          globally, hence by <= k rows (self included) in its own
-         partition, so per-partition top-(k+1) provably contains it;
-      3. ``groupby(qpart)`` merges partials to the global top-k, dropping
+         shard, so per-shard top-(k+1) provably contains it;
+      3. an exchange on qid merges partials to the global top-k, dropping
          the self-match (``_merge_topk``, shared with q_ann_ivf).
-    At cluster scale ``n_parts`` rises so one partition's member matrix
-    fits a worker's heap; per-partition compute is a dense matmul.
+    At cluster scale ``n_parts`` rises so one shard's member matrix
+    fits a worker's heap; per-shard compute is a dense matmul.
     """
     ds = _read(f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"])
     # the column type is variable list<float>, so a zero-row batch cannot
@@ -1521,7 +1277,7 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
             empty = np.empty(0, np.int64)
             return pa.table(
                 {
-                    "part": pa.array(empty, pa.int64()),
+                    "shard": pa.array(empty, pa.int64()),
                     "role": pa.array(empty, pa.int64()),
                     "rid": pa.array(empty, pa.int64()),
                     "vec": pa.FixedSizeListArray.from_arrays(
@@ -1536,10 +1292,10 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
         u = unit_rows(flat.reshape(len(ids), d))
         n = ids.size
         own = ids % n_parts
-        # query copies to every OTHER partition (member row covers its own)
+        # query copies to every OTHER shard (member row covers its own)
         qi = np.repeat(np.arange(n), n_parts - 1)
         offs = np.tile(np.arange(1, n_parts, dtype=np.int64), n)
-        part = np.concatenate([own, (own[qi] + offs) % n_parts])
+        shard = np.concatenate([own, (own[qi] + offs) % n_parts])
         role = np.concatenate(
             [np.zeros(n, np.int64), np.ones(qi.size, np.int64)]
         )
@@ -1547,7 +1303,7 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
         vecs = np.concatenate([u, u[qi]])
         return pa.table(
             {
-                "part": pa.array(part, pa.int64()),
+                "shard": pa.array(shard, pa.int64()),
                 "role": pa.array(role, pa.int64()),
                 "rid": pa.array(rid, pa.int64()),
                 "vec": pa.FixedSizeListArray.from_arrays(
@@ -1568,7 +1324,6 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
                     "qid": pa.array([], pa.int64()),
                     "nid": pa.array([], pa.int64()),
                     "sim": pa.array([], pa.float64()),
-                    "qpart": pa.array([], pa.int64()),
                 }
             )
         vecs_all = _fsl2d(tbl.column("vec"))
@@ -1600,21 +1355,17 @@ def q_knn_all(sf_dir: str, k: int = 5, n_parts: int = 8):
                 "qid": pa.array(qid),
                 "nid": pa.array(np.concatenate(n_chunks).astype(np.int64)),
                 "sim": pa.array(np.concatenate(s_chunks).astype(np.float64)),
-                "qpart": pa.array(qid % _NPARTS),
             }
         )
 
-    partials = routed.groupby("part").map_groups(
+    partials = routed.groupby("shard").map_groups(
         part_topk, batch_format="pyarrow"
     )
 
-    def merge_wrapper(tbl: pa.Table) -> pa.Table:
+    def merge_topk(tbl: pa.Table) -> pa.Table:
         return _merge_topk(tbl, k)
 
-    merge_wrapper.__name__ = "merge_topk"
-    return partials.groupby("qpart").map_groups(
-        merge_wrapper, batch_format="pyarrow"
-    )
+    return exchange(partials, "qid", merge_topk, "pyarrow")
 
 
 #: Default IVF cell count, shared by q_ann_ivf's signature and the
@@ -1776,7 +1527,7 @@ def q_ann_ivf(
       3. ``groupby(super)`` computes per-supercell top-(k+1) partials,
          masking members whose cell is not in the query's probe list
          (IVF semantics preserved exactly — parity-tested);
-      4. ``groupby(query-hash)`` merges partials into the global top-k.
+      4. an exchange on qid merges partials into the global top-k.
     At cluster scale ``n_super`` rises with the node count so one
     supercell's members fit a worker's heap; probe locality persists
     because supercells group neighboring centroids.
@@ -1795,7 +1546,6 @@ def q_ann_ivf(
                     "qid": pa.array([], pa.int64()),
                     "nid": pa.array([], pa.int64()),
                     "sim": pa.array([], pa.float64()),
-                    "qpart": pa.array([], pa.int64()),
                 }
             )
         vecs_all = _fsl2d(tbl.column("vec"))
@@ -1842,7 +1592,6 @@ def q_ann_ivf(
                 "qid": pa.array(qid),
                 "nid": pa.array(np.concatenate(n_chunks).astype(np.int64)),
                 "sim": pa.array(np.concatenate(s_chunks).astype(np.float64)),
-                "qpart": pa.array(qid % _NPARTS),
             }
         )
 
@@ -1850,13 +1599,10 @@ def q_ann_ivf(
         super_topk, batch_format="pyarrow"
     )
 
-    def merge_wrapper(tbl: pa.Table) -> pa.Table:
+    def merge_topk(tbl: pa.Table) -> pa.Table:
         return _merge_topk(tbl, k)
 
-    merge_wrapper.__name__ = "merge_topk"
-    return partials.groupby("qpart").map_groups(
-        merge_wrapper, batch_format="pyarrow"
-    )
+    return exchange(partials, "qid", merge_topk, "pyarrow")
 
 
 def q_ann_ivf_fullprobe(sf_dir: str):
@@ -1898,9 +1644,8 @@ def q_embedding_neardup_ivf(
     def _uniq_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort((b, a))
         a, b = a[order], b[order]
-        keep = np.ones(a.size, dtype=bool)
-        keep[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-        return a[keep], b[keep]
+        first = segment_starts(a, b)
+        return a[first], b[first]
 
     def super_pairs(tbl: pa.Table) -> pa.Table:
         role = tbl.column("role").to_numpy()
@@ -1911,7 +1656,6 @@ def q_embedding_neardup_ivf(
                 {
                     "vec_a": pa.array([], pa.int64()),
                     "vec_b": pa.array([], pa.int64()),
-                    "part": pa.array([], pa.int64()),
                 }
             )
         vecs_all = _fsl2d(tbl.column("vec"))
@@ -1936,7 +1680,6 @@ def q_embedding_neardup_ivf(
             {
                 "vec_a": pa.array(a.astype(np.int64)),
                 "vec_b": pa.array(b2.astype(np.int64)),
-                "part": pa.array((a % _NPARTS).astype(np.int64)),
             }
         )
 
@@ -1956,7 +1699,7 @@ def q_embedding_neardup_ivf(
             }
         )
 
-    return pairs.groupby("part").map_groups(dedupe, batch_format="pyarrow")
+    return exchange(pairs, "vec_a", dedupe, "pyarrow")
 
 
 def q_embedding_neardup(sf_dir: str, tau: float = 0.45):
@@ -2311,8 +2054,7 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
     since round 5: when the corpus vocabulary fits k_summary (true of
     the test corpus: 31 words << 256) MG never evicts, estimates equal
     exact counts, and the SQL twin checks the entire distributed plan."""
-    from eristropy_ray.datapipe.sketch import mg_merge, mg_summary
-    from eristropy_ray.datapipe.textstats import content_hash64
+    from eristropy_ray.datapipe.sketch import mg_merge, mg_summary, sample_key64
 
     ds = _read(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
@@ -2331,22 +2073,20 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
             vc.field("counts").to_numpy(zero_copy_only=False),
             k_summary,
         )
-        # deterministic fan-in key from the batch's MIN doc_id — unique
-        # per batch even on dup-heavy corpora (keying on leading TEXT
-        # would collapse the fan-in to one merge group when many batches
-        # start with identical boilerplate)
-        part = (
-            int(content_hash64(str(int(pc.min(b["doc_id"]).as_py()))))
-            % _NPARTS
-            if b.num_rows
-            else 0
-        )
+        # deterministic fan-in key: the batch's MIN doc_id — unique per
+        # batch even on dup-heavy corpora (keying on leading TEXT would
+        # collapse the fan-in to one merge group when many batches start
+        # with identical boilerplate) — splitmix-mixed, because batch
+        # starts often share their low bits and the partition hash
+        # spreads integers by those bits only
+        first = pc.min(b["doc_id"]).as_py() if b.num_rows else 0
+        batch_key = sample_key64(np.array([first])).view(np.int64)[0]
         return pa.table(
             {
                 "word": pa.array(items.astype(str), pa.string()),
                 "est": pa.array(counts, pa.int64()),
-                "part": pa.array(
-                    np.full(items.size, part, dtype=np.int64), pa.int64()
+                "batch_key": pa.array(
+                    np.full(items.size, batch_key, dtype=np.int64), pa.int64()
                 ),
             }
         )
@@ -2362,19 +2102,15 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
         )
 
     merge_group.__name__ = "mg_merge_group"
-    # tree reduce: batch summaries -> per-part MG merges (each emits at
-    # most k rows) -> the driver receives <= _NPARTS x k rows and does
-    # the final merge — bounded regardless of corpus size (any MG merge
-    # tree preserves the n/k undercount bound)
-    candidates = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(
-            lambda df: merge_group(df.drop(columns=["part"])),
-            batch_format="pandas",
-        )
-        .to_pandas()
-    )
+    # tree reduce: batch summaries -> per-partition MG merges (each
+    # emits at most k rows) -> the driver receives <= partitions x k rows
+    # and does the final merge — bounded regardless of corpus size (any
+    # MG merge tree preserves the n/k undercount bound)
+    candidates = exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "batch_key", merge_group
+    ).to_pandas()
+    if candidates.empty:  # a zero-row result carries no columns
+        candidates = pd.DataFrame({"word": [], "est": []})
     items, counts = mg_merge(
         [(candidates["word"].to_numpy(dtype=object),
           candidates["est"].to_numpy(dtype=np.int64))],
@@ -2629,7 +2365,6 @@ def q_clean_corpus(
     sf_dir: str,
     min_chars: int = 100,
     max_punct: float = 0.1,
-    nparts: int = 64,
 ):
     """End-to-end corpus cleaning composition — the pipeline shape a
     training-data user actually runs: length/quality filter -> exact
@@ -2665,9 +2400,6 @@ def q_clean_corpus(
         h1, h2 = batch_hash128(sub["text"])
         return pa.table(
             {
-                "part": pa.array(
-                    (h1 % np.uint64(nparts)).astype(np.int64), pa.int64()
-                ),
                 "h1": pa.array(h1.view(np.int64), pa.int64()),
                 "h2": pa.array(h2.view(np.int64), pa.int64()),
                 "doc_id": pc.cast(sub["doc_id"], pa.int64()),
@@ -2680,30 +2412,13 @@ def q_clean_corpus(
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        # part-hash combine (same plan as q_dedup_exact): doc_id is the
-        # last lexsort key, so the group head is the min; identical
-        # texts carry identical n_tokens, so the head's count IS the min
-        h1 = df["h1"].to_numpy(dtype=np.int64)
-        h2 = df["h2"].to_numpy(dtype=np.int64)
-        did = df["doc_id"].to_numpy(dtype=np.int64)
-        ntok = df["n_tokens"].to_numpy(dtype=np.int64)
-        order = np.lexsort((did, h2, h1))
-        h1, h2, did, ntok = h1[order], h2[order], did[order], ntok[order]
-        ch = np.empty(h1.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = (h1[1:] != h1[:-1]) | (h2[1:] != h2[:-1])
-        st = np.flatnonzero(ch)
-        return pd.DataFrame({"doc_id": did[st], "n_tokens": ntok[st]})
-
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "clean_dedup_combine"
-    return (
-        ds.map_batches(score_filter, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    # keyed combine (same plan as q_dedup_exact): identical texts carry
+    # identical n_tokens, so the min count IS the min doc_id's count
+    return keyed_combine(
+        ds.map_batches(score_filter, batch_format="pyarrow"),
+        ["h1", "h2"],
+        {"doc_id": "min", "n_tokens": "min"},
+        lambda t: t.select(["doc_id", "n_tokens"]),
     )
 
 
@@ -2711,15 +2426,15 @@ def q_hopping_window(sf_dir: str, span_us: int = 3_600_000_000,
                      slide_us: int = 900_000_000):
     """Hopping (sliding) window aggregate: 1h windows advancing every
     15m per user. Each event explodes to its span/slide windows inside
-    ``map_batches`` (vectorized repeat), exact integer-micro partials
-    combine per batch, and one small groupby finishes — the shuffle
-    moves per-(user, window) partials, never the exploded rows."""
+    ``map_batches`` (vectorized repeat), and one keyed combine on
+    (user, window) sums exact integer-micro partials — the shuffle moves
+    per-(user, window) partials, never the exploded rows."""
     ds = _read(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
     n_hops = -(-span_us // slide_us)  # ceil: span need not divide slide
 
-    def partial(b: pa.Table) -> pa.Table:
+    def explode(b: pa.Table) -> pa.Table:
         ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -2728,76 +2443,28 @@ def q_hopping_window(sf_dir: str, span_us: int = 3_600_000_000,
         starts = base[:, None] - k[None, :]
         # membership: start <= ts (by construction) AND ts < start + span
         keep = (ts[:, None] < starts + span_us).reshape(-1)
-        sid = np.repeat(uid, n_hops)[keep]
-        wst = starts.reshape(-1)[keep]
-        vmu = np.repeat(np.round(v * 1e6).astype(np.int64), n_hops)[keep]
-        # segmented numpy reduction (lexsort + reduceat) — same pattern
-        # as _bucket_rollup's partial, no pandas in the hot path
-        order = np.lexsort((wst, sid))
-        ss, sw, svmu = sid[order], wst[order], vmu[order]
-        n = ss.size
-        if n == 0:
-            empty_i = np.empty(0, dtype=np.int64)
-            return pa.table(
-                {
-                    "part": pa.array(empty_i, pa.int64()),
-                    "signal_id": pa.array(empty_i, pa.int64()),
-                    "window_start_us": pa.array(empty_i, pa.int64()),
-                    "n_obs": pa.array(empty_i, pa.int64()),
-                    "sum_mu": pa.array(empty_i, pa.int64()),
-                }
-            )
-        change = np.empty(n, dtype=bool)
-        change[0] = True
-        change[1:] = (ss[1:] != ss[:-1]) | (sw[1:] != sw[:-1])
-        g_starts = np.flatnonzero(change)
-        u = ss[g_starts]
-        part = (u.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(64)
         return pa.table(
             {
-                "part": pa.array(part.astype(np.int64), pa.int64()),
-                "signal_id": pa.array(u, pa.int64()),
-                "window_start_us": pa.array(sw[g_starts], pa.int64()),
-                "n_obs": pa.array(
-                    np.diff(np.append(g_starts, n)), pa.int64()
-                ),
+                "signal_id": pa.array(np.repeat(uid, n_hops)[keep], pa.int64()),
+                "window_start_us": pa.array(starts.reshape(-1)[keep], pa.int64()),
                 "sum_mu": pa.array(
-                    np.add.reduceat(svmu, g_starts), pa.int64()
+                    np.repeat(np.round(v * 1e6).astype(np.int64), n_hops)[keep],
+                    pa.int64(),
                 ),
             }
         )
 
-    def combine(df: pd.DataFrame) -> pd.DataFrame:
-        # part-hash combine + in-place finalize (same plan as
-        # _bucket_rollup; int64 sums are order-insensitive)
-        sid = df["signal_id"].to_numpy(dtype=np.int64)
-        wst = df["window_start_us"].to_numpy(dtype=np.int64)
-        order = np.lexsort((wst, sid))
-        sid, wst = sid[order], wst[order]
-        n = df["n_obs"].to_numpy(dtype=np.int64)[order]
-        smu = df["sum_mu"].to_numpy(dtype=np.int64)[order]
-        ch = np.empty(sid.size, dtype=bool)
-        ch[0] = True
-        ch[1:] = (sid[1:] != sid[:-1]) | (wst[1:] != wst[:-1])
-        st = np.flatnonzero(ch)
-        return pd.DataFrame(
-            {
-                "signal_id": sid[st],
-                "window_start_us": wst[st],
-                "n_obs": np.add.reduceat(n, st),
-                "value_sum": np.add.reduceat(smu, st).astype(np.float64)
-                / 1e6,
-            }
+    def finish(t: pa.Table) -> pa.Table:
+        vsum = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+        return t.drop_columns(["sum_mu"]).append_column(
+            "value_sum", pa.array(vsum, pa.float64())
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return combine(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "hopping_combine"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    return keyed_combine(
+        ds.map_batches(explode, batch_format="pyarrow"),
+        ["signal_id", "window_start_us"],
+        {"n_obs": "count", "sum_mu": "sum"},
+        finish,
     )
 
 
@@ -2846,7 +2513,6 @@ def q_streaming_window(
                 ),
                 "arrival": pa.array(arrival, pa.int64()),
                 "event_id": pa.array(eid, pa.int64()),
-                "part": pa.array(_hash_part(uid), pa.int64()),
             }
         )
 
@@ -2885,12 +2551,8 @@ def q_streaming_window(
              "n_obs": "int64", "value_sum": "float64", "n_late": "int64"}
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return window_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "streaming_window_partition"
     typed = events.map_batches(to_typed, batch_format="pyarrow")
-    return typed.groupby("part").map_groups(wrapper, batch_format="pandas")
+    return exchange(typed, "signal_id", window_partition)
 
 
 def q_distinct_users(sf_dir: str):
@@ -2905,11 +2567,7 @@ def q_distinct_users(sf_dir: str):
 
     def partial(b: pa.Table) -> pa.Table:
         # per-batch pair dedup as a C-speed Arrow hash-distinct
-        sub = b.group_by(["event_type", "user_id"]).aggregate([])
-        uid = sub["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return sub.append_column(
-            "part", pa.array(_hash_part(uid), pa.int64())
-        )
+        return b.group_by(["event_type", "user_id"]).aggregate([])
 
     def count_partition(df: pd.DataFrame) -> pd.DataFrame:
         u = df.drop_duplicates(["event_type", "user_id"])
@@ -2917,14 +2575,8 @@ def q_distinct_users(sf_dir: str):
         g["n_partial"] = g["n_partial"].astype("int64")
         return g
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return count_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "count_partition"
-    partials = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    partials = exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "user_id", count_partition
     )
     return partials.groupby("event_type").aggregate(
         Sum("n_partial", alias_name="n_users")
@@ -2948,7 +2600,7 @@ def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
     uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(et, kind="stable")
     et, uid = et[order], uid[order]
-    starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
+    starts = segment_starts(et)
     bounds = np.append(starts, et.size)
     return pa.table(
         {
@@ -2981,7 +2633,7 @@ def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
     val = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
     order = np.argsort(et, kind="stable")
     et, val = et[order], val[order]
-    starts = np.flatnonzero(np.concatenate(([True], et[1:] != et[:-1])))
+    starts = segment_starts(et)
     bounds = np.append(starts, et.size)
     bs, ns, types = [], [], []
     for i in range(starts.size):
@@ -3079,12 +2731,7 @@ def q_group_cap(sf_dir: str, k: int = 3):
         order = np.lexsort((tie, ts, sid))
         sid, ts, tie = sid[order], ts[order], tie[order]
         v = df["value"].to_numpy()[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], sid[1:] != sid[:-1]))
-        )
-        seg_len = np.diff(np.append(starts, sid.size))
-        rank = np.arange(sid.size) - np.repeat(starts, seg_len)
-        keep = rank < k
+        keep = segment_rank(sid) < k
         return pd.DataFrame(
             {
                 "signal_id": sid[keep],
@@ -3094,7 +2741,7 @@ def q_group_cap(sf_dir: str, k: int = 3):
             }
         )
 
-    return _grouped(ds, group_cap)
+    return exchange(ds, "signal_id", group_cap)
 
 
 def q_dataset_split(sf_dir: str):
@@ -3189,9 +2836,9 @@ def q_reservoir_sample(sf_dir: str, k: int = 1000):
 
 def q_top_users(sf_dir: str, k: int = 10):
     """Top-k users by observation count (count desc, user_id asc).
-    Counts come from the partial-collapsed part-hash combine; each
-    user's total is complete within one combine partition, so the final
-    sort touches per-user rows only."""
+    Counts come from the partial-collapsed keyed combine; each user's
+    total is complete within one combine partition, so the final sort
+    touches per-user rows only."""
     counts = _user_counts(sf_dir)
     return counts.sort(["n_obs", "user_id"], descending=[True, False]).limit(k)
 
@@ -3224,52 +2871,40 @@ def q_orders_by_segment(sf_dir: str):
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
-    def partial(batch: pa.Table) -> pa.Table:
-        import ray as _ray
-
-        skeys, scodes, names = _ray.get(lookup_ref)
+    def project(batch: pa.Table) -> pa.Table:
+        skeys, scodes, _ = ray.get(lookup_ref)
         ck = batch.column("o_custkey").to_numpy()
-        code = scodes[np.searchsorted(skeys, ck)]  # FK: every key present
-        price_mu = np.round(
-            batch.column("o_totalprice").to_numpy() * 1e6
-        ).astype(np.int64)
-        # exact int64 group sums (bincount's float64 weights would lose
-        # ulps past 2^53 — sum-of-micros can exceed that in one batch):
-        # sort + reduceat keeps the accumulator integral.
-        g = np.argsort(code, kind="stable")
-        gc, starts = np.unique(code[g], return_index=True)
+        price_mu = np.round(batch.column("o_totalprice").to_numpy() * 1e6)
         return pa.table(
             {
-                "c_mktsegment": pa.array([names[c] for c in gc], pa.string()),
-                "n_orders": pa.array(
-                    np.diff(np.append(starts, code.size)), pa.int64()
-                ),
-                "sum_mu": pa.array(
-                    np.add.reduceat(price_mu[g], starts), pa.int64()
-                ),
+                # FK: every key present
+                "seg": pa.array(scodes[np.searchsorted(skeys, ck)], pa.int64()),
+                "sum_mu": pa.array(price_mu.astype(np.int64), pa.int64()),
             }
         )
 
-    partials = orders.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("c_mktsegment").aggregate(
-        Sum("n_orders", alias_name="n_orders"),
-        Sum("sum_mu", alias_name="sum_mu"),
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        sum_mu = b["sum_mu"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = b["n_orders"].to_numpy(zero_copy_only=False).astype(np.int64)
-        total = sum_mu.astype(np.float64) / 1e6
+    def finish(t: pa.Table) -> pa.Table:
+        names = ray.get(lookup_ref)[2]
+        n = t["n_orders"].to_numpy()
+        total = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
         return pa.table(
             {
-                "c_mktsegment": b["c_mktsegment"],
-                "n_orders": pa.array(n, pa.int64()),
+                "c_mktsegment": pa.array(
+                    [names[c] for c in t["seg"].to_numpy()], pa.string()
+                ),
+                "n_orders": t["n_orders"],
                 "total_price": pa.array(total, pa.float64()),
                 "avg_price": pa.array(total / n, pa.float64()),
             }
         )
 
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    # exact int64 group sums: the keyed combine never leaves integers
+    return keyed_combine(
+        orders.map_batches(project, batch_format="pyarrow"),
+        ["seg"],
+        {"n_orders": "count", "sum_mu": "sum"},
+        finish,
+    )
 
 
 def q_order_segments_join(sf_dir: str):
@@ -3310,7 +2945,7 @@ def q_sessions(sf_dir: str):
     op; exact integer outputs vs a window-function SQL oracle)."""
     from eristropy_ray.stages.signals import sessionize_partition
 
-    return _grouped(_events_signals(sf_dir), sessionize_partition)
+    return exchange(_events_signals(sf_dir), "signal_id", sessionize_partition)
 
 
 def q_rolling_mean(sf_dir: str):
@@ -3318,7 +2953,7 @@ def q_rolling_mean(sf_dir: str):
     integer-micro prefix sums)."""
     from eristropy_ray.stages.signals import rolling_mean_partition
 
-    return _grouped(_events_signals(sf_dir), rolling_mean_partition)
+    return exchange(_events_signals(sf_dir), "signal_id", rolling_mean_partition)
 
 
 def q_running_sum(sf_dir: str):
@@ -3331,7 +2966,7 @@ def q_running_sum(sf_dir: str):
     loop); ties broken by event_id on both engines."""
     from eristropy_ray.stages.signals import running_sum_partition
 
-    return _grouped(_events_signals(sf_dir), running_sum_partition)
+    return exchange(_events_signals(sf_dir), "signal_id", running_sum_partition)
 
 
 def q_topk_per_user(sf_dir: str, k: int = 3):
@@ -3351,12 +2986,7 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
     def topk_local(uid, eid, v, k_keep):
         order = np.lexsort((eid, -v, uid))
         su, se, sv = uid[order], eid[order], v[order]
-        change = np.empty(su.size, dtype=bool)
-        change[0] = True
-        change[1:] = su[1:] != su[:-1]
-        starts = np.flatnonzero(change)
-        counts = np.diff(np.append(starts, su.size))
-        pos = np.arange(su.size) - np.repeat(starts, counts)
+        pos = segment_rank(su)
         keep = pos < k_keep
         return su[keep], se[keep], sv[keep], (pos[keep] + 1)
 
@@ -3364,30 +2994,18 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        if uid.size:
-            uid, eid, v, _ = topk_local(uid, eid, v, k)
+        uid, eid, v, _ = topk_local(uid, eid, v, k)
         return pa.table(
             {
                 "user_id": pa.array(uid, pa.int64()),
                 "event_id": pa.array(eid, pa.int64()),
                 "value": pa.array(v, pa.float64()),
-                "part": pa.array(_hash_part(uid), pa.int64()),
             }
         )
 
     def select_partition(df: pd.DataFrame) -> pd.DataFrame:
-        uid = df["user_id"].to_numpy(dtype=np.int64)
-        if uid.size == 0:
-            return pd.DataFrame(
-                {
-                    "user_id": pd.Series(dtype="int64"),
-                    "event_id": pd.Series(dtype="int64"),
-                    "value": pd.Series(dtype="float64"),
-                    "rk": pd.Series(dtype="int64"),
-                }
-            )
         su, se, sv, rk = topk_local(
-            uid,
+            df["user_id"].to_numpy(dtype=np.int64),
             df["event_id"].to_numpy(dtype=np.int64),
             df["value"].to_numpy(dtype=np.float64),
             k,
@@ -3401,14 +3019,8 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
             }
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return select_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "topk_partition"
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
+    return exchange(
+        ds.map_batches(partial, batch_format="pyarrow"), "user_id", select_partition
     )
 
 
@@ -3498,8 +3110,8 @@ def q_pricing_summary(sf_dir: str):
 
 def _typed_user_events(sf_dir: str) -> rd.Dataset:
     """Shared typed projection for the user-keyed joins (as-of, range):
-    (user_id, ts_us, event_id, event_type, part) — ONE definition so the
-    join queries can never departition differently."""
+    (user_id, ts_us, event_id, event_type), exchanged on user_id by both
+    join queries."""
     events = _read(
         f"{sf_dir}/events.parquet",
         columns=["event_id", "ts", "user_id", "event_type"],
@@ -3513,7 +3125,6 @@ def _typed_user_events(sf_dir: str) -> rd.Dataset:
                 "ts_us": pc.cast(b["ts"], pa.int64()),
                 "event_id": pc.cast(b["event_id"], pa.int64()),
                 "event_type": b["event_type"],
-                "part": pa.array(_hash_part(uid), pa.int64()),
             }
         )
 
@@ -3565,11 +3176,7 @@ def q_asof_purchase_click(sf_dir: str):
         return merged[["event_id", "user_id", "ts_us", "click_event_id",
                        "click_ts_us", "lag_us"]]
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return asof_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "asof_partition"
-    return typed.groupby("part").map_groups(wrapper, batch_format="pandas")
+    return exchange(typed, "user_id", asof_partition)
 
 
 def q_clicks_before_purchase(sf_dir: str):
@@ -3603,11 +3210,7 @@ def q_clicks_before_purchase(sf_dir: str):
             ["user_id", "ts_us", "event_id"], kind="stable"
         ).reset_index(drop=True)
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return range_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "range_join_partition"
-    return typed.groupby("part").map_groups(wrapper, batch_format="pandas")
+    return exchange(typed, "user_id", range_partition)
 
 
 def q_band_join(sf_dir: str, window_us: int = _BAND_JOIN_WINDOW_US):
@@ -3665,7 +3268,6 @@ def q_band_join(sf_dir: str, window_us: int = _BAND_JOIN_WINDOW_US):
                     ),
                     pa.int64(),
                 ),
-                "part": pa.array(_hash_part(band), pa.int64()),
             }
         )
         return out
@@ -3691,15 +3293,8 @@ def q_band_join(sf_dir: str, window_us: int = _BAND_JOIN_WINDOW_US):
             }
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return band_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "band_partition"
-    return (
-        ev.map_batches(route, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(wrapper, batch_format="pandas")
-    )
+    routed = ev.map_batches(route, batch_format="pyarrow")
+    return exchange(routed, "band", band_partition)
 
 
 def q_user_value_median(sf_dir: str):
@@ -3715,7 +3310,7 @@ def q_user_value_median(sf_dir: str):
         # elements of the sorted values; values are NaN-free by schema)
         order = np.lexsort((val, sig))
         sig, val = sig[order], val[order]
-        starts = np.flatnonzero(np.concatenate(([True], sig[1:] != sig[:-1])))
+        starts = segment_starts(sig)
         counts = np.diff(np.append(starts, sig.size))
         lo = starts + (counts - 1) // 2
         hi = starts + counts // 2
@@ -3726,11 +3321,7 @@ def q_user_value_median(sf_dir: str):
             }
         )
 
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return med_partition(df.drop(columns=["part"]))
-
-    wrapper.__name__ = "median_partition"
-    return ds.groupby("part").map_groups(wrapper, batch_format="pandas")
+    return exchange(ds, "signal_id", med_partition)
 
 
 # Registry order is load-bearing: the correctness driver checks the

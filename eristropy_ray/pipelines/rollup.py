@@ -113,48 +113,6 @@ def rollup_dataset(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-class RollupFileActor:
-    """Actor-pool variant of the colocated rollup task.
-
-    Stateless stages run as tasks by default here because Ray reuses
-    worker processes, so per-process setup (imports, kernel warm-up,
-    Arrow thread pinning) is already amortized. This class exists for
-    deployments that prefer an explicit pool — setup runs ONCE per actor
-    in ``__init__`` (the idiomatic stateful-stage shape), and it is the
-    natural home for future per-actor state (model handles, reusable
-    scratch buffers). Used via::
-
-        paths.map_batches(RollupFileActor, fn_constructor_args=(cfg,),
-                          concurrency=n_actors, batch_size=1,
-                          batch_format="pyarrow")
-    """
-
-    def __init__(self, cfg: RollupConfig) -> None:
-        _pin_arrow_threads()
-        self.cfg = cfg
-        # kernel warm-up: first numpy ufunc dispatch is the slow one
-        from eristropy_ray.stages.windows import rollup_windows
-        import numpy as np
-
-        rollup_windows(
-            np.array(["w"], dtype=object), np.array([0]),
-            np.array([0], dtype=np.int64), np.array([1.0]), cfg,
-        )
-
-    def __call__(self, batch):
-        import pyarrow as pa
-        import pyarrow.parquet as pq
-
-        from eristropy_ray.stages.rollup import _rollup_table
-
-        tables = [
-            pq.read_table(p, columns=TRANSCRIPT_READ_COLUMNS)
-            for p in batch["path"].to_pylist()
-        ]
-        turns = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        return _rollup_table(project_turns(turns), self.cfg)
-
-
 def _path_dataset(files: list[str]) -> rd.Dataset:
     """One-row-per-file Dataset that the colocated plans map over.
 

@@ -39,14 +39,13 @@ from eristropy_ray.kernels.gp import (
 )
 from eristropy_ray.kernels.linreg import detrend_linreg
 from eristropy_ray.kernels.multitest import holm_sidak
+from eristropy_ray.pipelines.exchange import exchange
 from eristropy_ray.stages.signals import (
     _sorted_groups,
     difference_partition,
     make_adf_partition,
     zscore_plain_partition,
 )
-
-_NPARTS = 32
 
 
 @dataclass(frozen=True)
@@ -164,36 +163,15 @@ def make_gp_detrend_partition(cfg: StationaryConfig, ls_vals_ref):
     return gp_detrend_partition
 
 
-def _repart(ds: rd.Dataset) -> rd.Dataset:
-    def add_part(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["part"] = (
-            pd.util.hash_pandas_object(df["signal_id"], index=False) % _NPARTS
-        ).astype("int64")
-        if "tie" not in df.columns:
-            df["tie"] = 0
-        return df
-
-    return ds.map_batches(add_part, batch_format="pandas")
-
-
-def _grouped(ds: rd.Dataset, fn) -> rd.Dataset:
-    def wrapper(df: pd.DataFrame) -> pd.DataFrame:
-        return fn(df.drop(columns=["part"]))
-
-    wrapper.__name__ = getattr(fn, "__name__", "grouped_fn")
-    return _repart(ds).groupby("part").map_groups(wrapper, batch_format="pandas")
-
-
 def make_stationary_signals(
     signals: rd.Dataset, cfg: StationaryConfig = StationaryConfig()
 ) -> tuple[rd.Dataset, dict]:
     """Returns (stationary signal Dataset, info dict with stationary_frac_
     and stationary_signals_ — the reference's fitted attributes)."""
     if cfg.method == "difference":
-        transformed = _grouped(signals, difference_partition)
+        transformed = exchange(signals, "signal_id", difference_partition)
     elif cfg.detrend_type == "lr":
-        transformed = _grouped(signals, linreg_detrend_partition)
+        transformed = exchange(signals, "signal_id", linreg_detrend_partition)
     else:
         if cfg.gp_implementation == "cv_search":
             ls_ref = None  # cv_search draws per signal; no shared broadcast
@@ -202,13 +180,16 @@ def make_stationary_signals(
                 cfg.ls_range, cfg.n_searches, cfg.random_seed
             )
             ls_ref = ray.put(ls_vals)
-        transformed = _grouped(signals, make_gp_detrend_partition(cfg, ls_ref))
+        transformed = exchange(
+            signals, "signal_id", make_gp_detrend_partition(cfg, ls_ref)
+        )
     transformed = transformed.materialize()
 
     # barrier: one (signal_id, pvalue) scalar per signal to the driver
     pvals = (
-        _grouped(
+        exchange(
             transformed,
+            "signal_id",
             make_adf_partition(
                 cfg.adf_regression, cfg.adf_autolag, cfg.adf_maxlag
             ),
@@ -233,5 +214,5 @@ def make_stationary_signals(
 
     stationary = transformed.map_batches(filter_accepted, batch_format="pandas")
     if cfg.normalize_signals:
-        stationary = _grouped(stationary, zscore_plain_partition)
+        stationary = exchange(stationary, "signal_id", zscore_plain_partition)
     return stationary, info

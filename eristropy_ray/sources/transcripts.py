@@ -272,10 +272,11 @@ def read_transcripts_csv(paths: list[str] | str):
     epoch-microseconds, empty/missing text and tool fields become ""
     — normalized through the shared ``_norm_transcript_batch``.
     Distributed read via ``ray.data.read_csv`` (streaming, one task per
-    file / block); equivalence with the parquet path is pinned in
-    tests/test_pipeline.py. CSV cannot carry embedded newlines safely
-    across naive producers, so this reader is for simple
-    machine-generated exports; prefer parquet or JSONL otherwise.
+    file / block); equivalence with the parquet path, quoted multi-line
+    texts included, is pinned in tests/test_pipeline.py. Quoted fields
+    may hold newlines (``newlines_in_values``, as ``pyarrow.csv.
+    write_csv`` emits them), which pyarrow documents as slowing its
+    multi-threaded parse; parquet or JSONL read faster.
     """
     import ray.data as rd
     from pyarrow import csv as pa_csv
@@ -286,6 +287,7 @@ def read_transcripts_csv(paths: list[str] | str):
     # numeric-looking conv_id file still reads as string
     ds = rd.read_csv(
         paths,
+        parse_options=pa_csv.ParseOptions(newlines_in_values=True),
         convert_options=pa_csv.ConvertOptions(
             column_types={
                 "conv_id": pa.string(),

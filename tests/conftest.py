@@ -46,6 +46,15 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture(scope="session")
+def sf_tiny() -> str:
+    """The sf0.001 registry tables (TESTDATA.md), which sit beside the
+    benchmark's sf directory."""
+    from bench import SF_DIR
+
+    return str(Path(SF_DIR).with_name("sf0.001"))
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(17)

@@ -1451,16 +1451,16 @@ def test_binary_feature_schema_identical_across_extractors():
 
 def test_heavy_hitters_fanin_spreads_on_duplicate_text(ray_session):
     """Batches with identical text must NOT collapse into one merge
-    group: the fan-in key derives from each batch's min doc_id."""
-    from eristropy_ray.datapipe.textstats import content_hash64
+    group: the fan-in key derives from each batch's min doc_id, mixed so
+    that batch starts sharing their low bits (here multiples of 1024)
+    still land in different partitions."""
+    from eristropy_ray.datapipe.sketch import sample_key64
+    from eristropy_ray.pipelines.exchange import partition_of
 
-    nparts = 32
-    boiler = "the same boilerplate text repeated everywhere"
-    parts = {
-        int(content_hash64(str(min_id))) % nparts
-        for min_id in (0, 1000, 2000, 3000, 4000, 5000, 6000, 7000)
-    }
-    assert len(parts) > 1, "identical-text batches still collapse"
+    min_ids = np.arange(8, dtype=np.int64) * 1024
+    assert len(set(partition_of(pa.array(min_ids)).tolist())) == 1
+    parts = set(partition_of(pa.array(sample_key64(min_ids).view(np.int64))).tolist())
+    assert len(parts) > 4, "identical-text batches still collapse"
 
 
 def test_sample_key64_bijective_and_deterministic():

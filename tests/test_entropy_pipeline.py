@@ -141,7 +141,7 @@ def test_collect_signals_sample_cap(ray_session):
 
 
 def test_dataset_final_pass_matches_dataframe(ray_session):
-    """The distributed final pass (Dataset input -> _grouped fan-out) is
+    """The distributed final pass (Dataset input -> exchange fan-out) is
     bit-identical to the local DataFrame loop: same kernels, same ordered
     series, placement-independent counter-keyed bootstrap seeds."""
     import ray.data as rd

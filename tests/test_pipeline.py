@@ -250,34 +250,6 @@ def test_job_fused_layout_and_resume(ray_session, tmp_path):
     assert s3["shards_skipped"] == 2
 
 
-def test_actor_pool_rollup_matches_tasks(ray_session, tmp_path):
-    import ray.data as rd
-
-    from eristropy_ray.pipelines.rollup import (
-        RollupFileActor,
-        rollup_files_colocated,
-    )
-    from eristropy_ray.sources.transcripts import synthesize_transcripts
-
-    d = synthesize_transcripts(
-        tmp_path / "tx", n_convs=8, mean_turns=20, n_files=2, hot_factor=2
-    )
-    files = sorted(glob.glob(f"{d}/*.parquet"))
-    cfg = RollupConfig()
-    a = _sorted_rollup(rollup_files_colocated(files, cfg))
-    paths = rd.from_items([{"path": f} for f in files])
-    b = _sorted_rollup(
-        paths.map_batches(
-            RollupFileActor,
-            fn_constructor_args=(cfg,),
-            concurrency=2,
-            batch_size=1,
-            batch_format="pyarrow",
-        )
-    )
-    pd.testing.assert_frame_equal(a, b)
-
-
 def test_encode_multi_block_roundtrip(ray_session):
     """A (conv, tier) series longer than max_points splits into several
     blocks that decode back to the full gap-filled series."""
@@ -544,4 +516,16 @@ def test_csv_source_matches_parquet(ray_session, tmp_path):
     cfg = RollupConfig()
     a = _sorted_rollup(rollup_dataset(rd.from_arrow(t), cfg))
     b = _sorted_rollup(rollup_dataset(read_transcripts_csv(files), cfg))
+    pd.testing.assert_frame_equal(a, b)
+
+    # quoted multi-line texts in a file larger than pyarrow's 1 MiB read
+    # block, so a quoted newline straddles a block boundary
+    i = t.schema.get_field_index("text")
+    multi = [(s + "\nand a second line,\r\n") * 12 for s in t["text"].to_pylist()]
+    t_ml = t.set_column(i, "text", pa.array(multi, pa.string()))
+    path = tmp_path / "tx_multiline.csv"
+    pa_csv.write_csv(t_csv.set_column(i, "text", t_ml["text"]), path)
+    assert path.stat().st_size > 1 << 20
+    a = _sorted_rollup(rollup_dataset(rd.from_arrow(t_ml), cfg))
+    b = _sorted_rollup(rollup_dataset(read_transcripts_csv([str(path)]), cfg))
     pd.testing.assert_frame_equal(a, b)

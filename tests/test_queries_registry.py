@@ -24,6 +24,14 @@ def test_every_oracle_has_a_query():
     assert not missing, missing
 
 
+def test_queries_md_matches_generator():
+    """QUERIES.md is generated from the registry docstrings; run
+    ``python tools/gen_queries_md.py`` after editing one."""
+    from tools.gen_queries_md import QUERIES_MD, queries_md
+
+    assert QUERIES_MD.read_text() == queries_md()
+
+
 def test_read_strips_pandas_metadata(ray_session):
     """_read must yield HASHABLE block schemas (no b'pandas' metadata —
     an unhashable schema defeats Ray's shuffle-concat schema dedup) with

@@ -14,7 +14,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 from eristropy_ray.pipelines import queries as q  # noqa: E402
 
 
-def main() -> None:
+QUERIES_MD = Path(__file__).resolve().parent.parent / "QUERIES.md"
+
+
+def queries_md() -> str:
+    """The QUERIES.md text for the current registry."""
     lines = [
         "# Query surface — operator index",
         "",
@@ -34,9 +38,11 @@ def main() -> None:
         has = "oracle" if name in q.ORACLE_SQL else "rows-only"
         lines.append(f"| `{name}` | {has} | {first} |")
     lines.append("")
-    Path(__file__).resolve().parent.parent.joinpath("QUERIES.md").write_text(
-        "\n".join(lines)
-    )
+    return "\n".join(lines)
+
+
+def main() -> None:
+    QUERIES_MD.write_text(queries_md())
 
 
 if __name__ == "__main__":
