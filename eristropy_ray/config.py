@@ -38,13 +38,13 @@ class RollupConfig:
         preprocess: "difference" applies first-differencing before the
            headline entropy columns (the reference's stationarity
            preprocessing, stationarity.py:237-241); "none" uses raw values.
-        num_partitions: hash-bucket count for the bucketed execution mode
+        num_partitions: hash-bucket count for the bucketed rollup plan
            (0 = derive from data size / CPU count at run time).
         lateness_us: allowed lateness for the (conversation, day)-local
            watermark — turns older than (max ts in their conv-day) minus
            this are dropped before windowing. None (default) accepts
-           everything. Day-local so every physical plan (colocated,
-           day-salted bucketed, window_groups) evaluates it identically;
+           everything. Day-local so both physical plans (colocated and
+           day-salted bucketed) evaluate it identically;
            see stages/windows.rollup_windows.
     """
 

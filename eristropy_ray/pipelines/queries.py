@@ -1380,7 +1380,7 @@ def _ivf_route(
     n_probe: int,
     sample_cap: int,
     n_super: int | None,
-) -> rd.Dataset:
+) -> rd.Dataset | None:
     """Shared IVF build + supercell routing (used by ``q_ann_ivf`` and
     ``q_embedding_neardup_ivf``): train centroids on a bounded
     deterministic sample, cluster them into proximity supercells, then
@@ -1389,7 +1389,8 @@ def _ivf_route(
     distinct probe supercells, each carrying its probe-cell list.
     n_probe is clamped to the trained centroid count so tiny corpora /
     small n_cells cannot produce ragged probe lists; the clamp only
-    affects the routed probes column, so only the dataset is returned."""
+    affects the routed probes column, so only the dataset is returned.
+    None for an empty embedding table: there is no sample to train on."""
     import ray
 
     from eristropy_ray.datapipe.similarity import (
@@ -1404,6 +1405,8 @@ def _ivf_route(
     # footer-metadata row count — sizing the sample stride must not cost
     # a full scan of the embedding table
     n_total = _parquet_rows(f"{sf_dir}/embeddings.parquet")
+    if not n_total:
+        return None
     # power-of-2 stride so the mask is a cheap bit_wise_and
     stride = 1
     while n_total // stride > sample_cap:
@@ -1534,20 +1537,23 @@ def q_ann_ivf(
     Recall vs brute force and parity with the single-process
     ``IVFIndex`` are asserted in tests/test_datapipe.py.
     """
+    empty = pa.table(
+        {
+            "qid": pa.array([], pa.int64()),
+            "nid": pa.array([], pa.int64()),
+            "sim": pa.array([], pa.float64()),
+        }
+    )
     routed = _ivf_route(sf_dir, n_cells, n_probe, sample_cap, n_super)
+    if routed is None:
+        return rd.from_arrow(_merge_topk(empty, k))
 
     def super_topk(tbl: pa.Table) -> pa.Table:
         role = tbl.column("role").to_numpy()
         rid_all = tbl.column("rid").to_numpy()
         mmask = role == 0
         if not mmask.any() or len(tbl) == 0:
-            return pa.table(
-                {
-                    "qid": pa.array([], pa.int64()),
-                    "nid": pa.array([], pa.int64()),
-                    "sim": pa.array([], pa.float64()),
-                }
-            )
+            return empty
         vecs_all = _fsl2d(tbl.column("vec"))
         probes_all = _fsl2d(tbl.column("probes"))
         m = vecs_all[mmask]
@@ -1639,7 +1645,12 @@ def q_embedding_neardup_ivf(
     at a LOW tau can sit far from both its cell centroids, so near-dup
     bucketing needs wider probing — 8/16 cells recovers the full exact
     pair set on both test corpora while still halving the work."""
+    empty = pa.table(
+        {"vec_a": pa.array([], pa.int64()), "vec_b": pa.array([], pa.int64())}
+    )
     routed = _ivf_route(sf_dir, n_cells, n_probe, sample_cap, n_super)
+    if routed is None:
+        return rd.from_arrow(empty)
 
     def _uniq_pairs(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         order = np.lexsort((b, a))
@@ -1652,12 +1663,7 @@ def q_embedding_neardup_ivf(
         rid_all = tbl.column("rid").to_numpy()
         mmask = role == 0
         if not mmask.any():
-            return pa.table(
-                {
-                    "vec_a": pa.array([], pa.int64()),
-                    "vec_b": pa.array([], pa.int64()),
-                }
-            )
+            return empty
         vecs_all = _fsl2d(tbl.column("vec"))
         probes_all = _fsl2d(tbl.column("probes"))
         m = vecs_all[mmask]

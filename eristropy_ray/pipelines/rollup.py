@@ -1,28 +1,26 @@
 """Flagship pipeline: transcripts -> entropy rollups -> retention tiers.
 
-Three physical plans over one logical plan (SURVEY.md §4.2), fastest
-first:
+Two physical plans over one logical plan (SURVEY.md §4.2):
 
-1. ``fused_rollup_encode_colocated`` (conversation-partitioned files —
-   the production ingest layout): ZERO shuffles, one task per file does
-   read → project(value=len(text)) → all-tier windowed rollup → atomic
-   rollup-row checkpoint → gap-fill + Gorilla/DoD blocks; the block
-   stream goes straight to the Parquet sink with no barriers.
+1. **Colocated** (conversation-partitioned files — the production ingest
+   layout): ZERO shuffles, one task per file. ``fused_rollup_encode_colocated``
+   does read → project(value=len(text)) → all-tier windowed rollup →
+   atomic rollup-row checkpoint → gap-fill + Gorilla/DoD blocks; the
+   block stream goes straight to the Parquet sink with no barriers.
+   ``rollup_files_colocated`` is the same per-file rollup, rows only.
 
-2. ``rollup_files_colocated`` + ``encode_blocks_colocated``: same layout,
-   separate stages (used when the rollup rows feed other consumers).
+2. **Bucketed** (any layout): ``rollup_dataset`` pays ONE hash shuffle —
+   a day-salted ``part = hash(conv_id, day) % P`` then
+   ``groupby(part).map_groups`` over whole hash buckets (per-task Python
+   cost O(P), not O(windows)); ``encode_dataset`` regroups the rows by
+   conversation through ``pipelines/exchange.py``.
 
-3. ``rollup_dataset(mode="bucketed")`` (any layout): ONE hash shuffle —
-   ``part = hash(conv_id) % P`` then ``groupby(part).map_groups`` over
-   whole hash buckets (per-task Python cost O(P), not O(windows));
-   ``mode="window_groups"`` is the reference-shaped (conv, day) exact
-   grouping kept as a correctness cross-check.
-
-Plans 1 and 2 map over one path Dataset built by ``_path_dataset``
+The colocated plans map over one path Dataset built by ``_path_dataset``
 (one fn call per file). That Dataset switches off Ray Data's operator
 resource reservation on its own context, so the fused map runs one task
 per CPU instead of half-wide; the session's global ``DataContext`` is
-never written. Plan 3 keeps reservation, which guards its exchange.
+never written. The bucketed plan keeps reservation, which guards its
+exchanges.
 
 Streaming properties: no driver-side materialization of the turn table;
 the rollup output is ~windows-sized (orders smaller than input); blocks
@@ -31,19 +29,21 @@ are smaller still. Never call ray.init() here — the session owner does.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import shutil
 import time
 from pathlib import Path
 
+import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data as rd
 
 from eristropy_ray.config import EncodeConfig, RollupConfig
+from eristropy_ray.pipelines.exchange import exchange
 from eristropy_ray.stages.encode import make_partition_encode_fn
 from eristropy_ray.stages.project import add_partition_key, project_turns
-from eristropy_ray.stages.rollup import (
-    add_day_column,
-    make_partition_rollup_fn,
-    make_window_group_fn,
-)
+from eristropy_ray.stages.windows import ROLLUP_COLUMNS, rollup_windows
 from eristropy_ray.state.manifest import Manifest
 from eristropy_ray.state.metrics import MetricsLog
 
@@ -52,10 +52,6 @@ def _footer_rows(path: str) -> int:
     """Exact row count of a written parquet dir from footer metadata —
     no data re-scan (the write already streamed the rows once; counting
     metrics must not read them back)."""
-    import os
-
-    import pyarrow.parquet as pq
-
     total = 0
     for root, _dirs, names in os.walk(path):
         for n in names:
@@ -74,11 +70,9 @@ def _pin_arrow_threads() -> None:
     Each worker defaults to a CPU-count-sized Arrow pool; with 32
     concurrent single-CPU tasks that's 32x oversubscription on reads and
     decompression. Idempotent, once per worker process."""
-    import pyarrow as _pa
-
-    if _pa.cpu_count() != 1:
-        _pa.set_cpu_count(1)
-        _pa.set_io_thread_count(2)
+    if pa.cpu_count() != 1:
+        pa.set_cpu_count(1)
+        pa.set_io_thread_count(2)
 
 
 def _default_partitions(cfg: RollupConfig) -> int:
@@ -90,27 +84,64 @@ def _default_partitions(cfg: RollupConfig) -> int:
     return max(2 * cpus, 16)
 
 
+def _rollup_table(t: pa.Table, cfg: RollupConfig) -> pa.Table:
+    """Rollup rows of projected turns (``conv_id``, ``turn_idx``, ``ts``,
+    ``value``; other columns are ignored) holding whole (conv, day)
+    units."""
+    cols = rollup_windows(
+        conv_id=t["conv_id"].to_numpy(zero_copy_only=False),
+        turn_idx=t["turn_idx"].to_numpy(zero_copy_only=False),
+        ts_us=t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
+        value=t["value"].to_numpy(zero_copy_only=False),
+        cfg=cfg,
+    )
+    return pa.table(
+        {
+            "conv_id": pa.array(cols["conv_id"], pa.string()),
+            "tier": pa.array(cols["tier"], pa.string()),
+            "bucket_ts": pa.array(cols["bucket_ts"], pa.timestamp("us")),
+            "n_turns": pa.array(cols["n_turns"], pa.int64()),
+            **{
+                name: pa.array(cols[name], pa.float64())
+                for name in ROLLUP_COLUMNS[4:]
+            },
+        }
+    )
+
+
 def rollup_dataset(
-    turns: rd.Dataset,
-    cfg: RollupConfig = RollupConfig(),
-    mode: str = "bucketed",
+    turns: rd.Dataset, cfg: RollupConfig = RollupConfig()
 ) -> rd.Dataset:
-    """Transcript-shaped Dataset -> rollup-row Dataset (lazy)."""
+    """Transcript-shaped Dataset -> rollup-row Dataset (lazy), any layout.
+
+    The day salt of ``add_partition_key`` is the hot-conversation skew
+    guard: a long conversation spreads over partitions by day, while
+    every (conv, day) unit — hence every window of every tier <= 1d —
+    stays whole inside one partition."""
+    nparts = _default_partitions(cfg)
     projected = turns.map_batches(project_turns, batch_format="pyarrow")
-    if mode == "bucketed":
-        nparts = _default_partitions(cfg)
-        keyed = projected.map_batches(
-            lambda b: add_partition_key(b, nparts), batch_format="pyarrow"
-        )
-        return keyed.groupby("part").map_groups(
-            make_partition_rollup_fn(cfg), batch_format="pyarrow"
-        )
-    if mode == "window_groups":
-        keyed = projected.map_batches(add_day_column, batch_format="pyarrow")
-        return keyed.groupby(["conv_id", "day"]).map_groups(
-            make_window_group_fn(cfg), batch_format="pyarrow"
-        )
-    raise ValueError(f"unknown mode {mode!r}")
+    keyed = projected.map_batches(
+        lambda b: add_partition_key(b, nparts), batch_format="pyarrow"
+    )
+
+    def rollup_partition(t: pa.Table) -> pa.Table:
+        return _rollup_table(t, cfg)
+
+    return keyed.groupby("part").map_groups(
+        rollup_partition, batch_format="pyarrow"
+    )
+
+
+def encode_dataset(
+    rollup: rd.Dataset, enc_cfg: EncodeConfig = EncodeConfig()
+) -> rd.Dataset:
+    """Rollup rows -> gap-filled compressed tier blocks (lazy), any layout.
+
+    Keyed on the unsalted conversation: gap-fill needs a conversation's
+    ENTIRE tier series in one call to build the dense bucket grid."""
+    return exchange(
+        rollup, "conv_id", make_partition_encode_fn(enc_cfg), "pyarrow"
+    )
 
 
 def _path_dataset(files: list[str]) -> rd.Dataset:
@@ -139,53 +170,36 @@ def _path_dataset(files: list[str]) -> rd.Dataset:
     return paths
 
 
+def _rollup_file(path: str, cfg: RollupConfig) -> pa.Table:
+    """Rollup rows of one conversation-partitioned transcript file."""
+    _pin_arrow_threads()
+    turns = pq.read_table(path, columns=TRANSCRIPT_READ_COLUMNS)
+    return _rollup_table(project_turns(turns), cfg)
+
+
 def rollup_files_colocated(
     files: list[str], cfg: RollupConfig = RollupConfig()
 ) -> rd.Dataset:
-    """Zero-shuffle fast path for conversation-partitioned input layouts.
+    """Zero-shuffle rollup rows for conversation-partitioned input layouts.
 
     CONTRACT: every conversation's turns live entirely inside one input
     file (the synthesizer guarantees this; a production ingest at 10^12
     turns would bucket-by-conv at write time for exactly this reason —
     it converts the one big all-to-all exchange into embarrassingly
-    parallel per-file tasks). One read task per file; project + full
-    multi-tier rollup fused into a single ``map_batches`` whole-block
-    task. Output blocks are conversation-complete, so the downstream
-    encode stage can also run block-local without a shuffle
-    (``encode_blocks_colocated``).
+    parallel per-file tasks). One task per file reads, projects and
+    rolls up all tiers; ``fused_rollup_encode_colocated`` also encodes
+    the blocks in the same task.
 
-    For unpartitioned inputs use ``rollup_dataset`` (bucketed mode), which
-    pays the hash shuffle to establish the same co-location.
+    For unpartitioned inputs use ``rollup_dataset``, which pays the hash
+    shuffle to establish the same co-location.
     """
-    import pyarrow as pa
-
-    from eristropy_ray.stages.rollup import _rollup_table
-
-    paths = _path_dataset(files)
 
     def read_project_rollup(batch: pa.Table) -> pa.Table:
-        import pyarrow.parquet as pq
+        return _rollup_file(batch["path"][0].as_py(), cfg)
 
-        _pin_arrow_threads()
-        tables = [
-            pq.read_table(p, columns=TRANSCRIPT_READ_COLUMNS)
-            for p in batch["path"].to_pylist()
-        ]
-        turns = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        return _rollup_table(project_turns(turns), cfg)
-
-    return paths.map_batches(
+    return _path_dataset(files).map_batches(
         read_project_rollup, batch_format="pyarrow", batch_size=1
     )
-
-
-def encode_blocks_colocated(
-    rollup: rd.Dataset, enc_cfg: EncodeConfig = EncodeConfig()
-) -> rd.Dataset:
-    """Block-local encode for conversation-complete rollup blocks (the
-    output shape of ``rollup_files_colocated``). No shuffle."""
-    fn = make_partition_encode_fn(enc_cfg)
-    return rollup.map_batches(fn, batch_format="pyarrow", batch_size=None)
 
 
 def fused_rollup_encode_colocated(
@@ -204,38 +218,16 @@ def fused_rollup_encode_colocated(
     being read. The per-task side-effect write is idempotent (same input
     file -> same output path), so Ray task retries are safe.
     """
-    import pyarrow as pa
-
-    from eristropy_ray.stages.rollup import _rollup_table
-
     encode_fn = make_partition_encode_fn(enc_cfg)
-    # batch_size=1 below means each task call sees exactly one path, so
-    # the checkpoint stem is always that file's
-    paths = _path_dataset(files)
 
     def task(batch: pa.Table) -> pa.Table:
-        import os
-
-        import pyarrow.parquet as pq
-
-        _pin_arrow_threads()
-        tables = [
-            pq.read_table(p, columns=TRANSCRIPT_READ_COLUMNS)
-            for p in batch["path"].to_pylist()
-        ]
+        # batch_size=1 below: each call sees exactly one path
         src = batch["path"][0].as_py()
         # stem alone collides for equal basenames in different dirs —
         # whichever task finished last would silently overwrite the
         # other's rollup checkpoint; salt with a path digest
-        import hashlib as _hashlib
-
-        stem = (
-            Path(src).stem
-            + "-"
-            + _hashlib.sha1(src.encode()).hexdigest()[:8]
-        )
-        turns = tables[0] if len(tables) == 1 else pa.concat_tables(tables)
-        rollup = _rollup_table(project_turns(turns), cfg)
+        stem = Path(src).stem + "-" + hashlib.sha1(src.encode()).hexdigest()[:8]
+        rollup = _rollup_file(src, cfg)
         tiers = rollup["tier"].to_numpy(zero_copy_only=False)
         for tier in dict.fromkeys(tiers.tolist()):
             sub = rollup.filter(pa.array(tiers == tier))
@@ -246,24 +238,8 @@ def fused_rollup_encode_colocated(
             os.replace(tmp, d / f"{stem}.parquet")
         return encode_fn(rollup)
 
-    return paths.map_batches(task, batch_format="pyarrow", batch_size=1)
-
-
-def encode_dataset(
-    rollup: rd.Dataset,
-    cfg: RollupConfig = RollupConfig(),
-    enc_cfg: EncodeConfig = EncodeConfig(),
-) -> rd.Dataset:
-    """Rollup rows -> gap-filled compressed tier blocks (lazy)."""
-    nparts = max(_default_partitions(cfg) // 4, 4)
-    # no day salt here: gap-fill needs a conversation's ENTIRE tier
-    # series in one group to build the dense bucket grid
-    keyed = rollup.map_batches(
-        lambda b: add_partition_key(b, nparts, salt_by_day=False),
-        batch_format="pyarrow",
-    )
-    return keyed.groupby("part").map_groups(
-        make_partition_encode_fn(enc_cfg), batch_format="pyarrow"
+    return _path_dataset(files).map_batches(
+        task, batch_format="pyarrow", batch_size=1
     )
 
 
@@ -274,7 +250,6 @@ def run_rollup_job(
     enc_cfg: EncodeConfig = EncodeConfig(),
     n_shards: int = 4,
     resume: bool = True,
-    mode: str = "bucketed",
     layout: str = "unpartitioned",
 ) -> dict:
     """Checkpointed, resumable rollup over a list of transcript files.
@@ -283,13 +258,13 @@ def run_rollup_job(
     (any grouping is valid — conversations never span files — and striding
     balances size-skewed inputs; do NOT build range/locality logic on a
     contiguity assumption). Completed shards (manifest + output present)
-    are skipped on resume; in the two-stage layout a shard whose rollup
-    stage completed resumes from its checkpoint and reruns only encode.
+    are skipped on resume; in the unpartitioned layout a shard whose
+    rollup stage completed resumes from its checkpoint and reruns only encode.
     Emits per-(stage, shard) lineage metrics. Returns a summary dict.
 
     ``layout="conv_files"`` uses the fused single-pass colocated path
     (each conversation contained in one input file); ``"unpartitioned"``
-    pays the hash shuffle (bucketed mode) and works for any layout.
+    pays the bucketed plan's hash shuffle and works for any layout.
     """
     out = Path(out_dir)
     manifest = Manifest(out)
@@ -308,11 +283,9 @@ def run_rollup_job(
         # a shard not marked complete may have partial output from a
         # crashed attempt; Ray's write_parquet APPENDS uuid-named files,
         # so rerunning without clearing would duplicate every row. In the
-        # two-stage layout a COMPLETED rollup stage survives a crash
+        # unpartitioned layout a COMPLETED rollup stage survives a crash
         # during encode: resume re-reads its checkpoint instead of
         # re-scanning and re-shuffling the turn table.
-        import shutil as _shutil
-
         rollup_done = (
             resume
             and layout != "conv_files"
@@ -320,7 +293,7 @@ def run_rollup_job(
         )
         stale_stages = ("blocks",) if rollup_done else ("rollup", "blocks")
         for stale in stale_stages:
-            _shutil.rmtree(out / stale / f"shard={shard_id}", ignore_errors=True)
+            shutil.rmtree(out / stale / f"shard={shard_id}", ignore_errors=True)
         if layout == "conv_files":
             t0 = time.time()
             rows_path = str(out / "rollup" / f"shard={shard_id}")
@@ -344,8 +317,6 @@ def run_rollup_job(
             continue
         t0 = time.time()
         rows_path = str(out / "rollup" / f"shard={shard_id}")
-        from eristropy_ray.stages.windows import ROLLUP_COLUMNS
-
         if rollup_done:
             # resume from the completed rollup checkpoint (stage-level
             # resume: only encode reruns)
@@ -356,7 +327,7 @@ def run_rollup_job(
             t1 = time.time()
         else:
             turns = rd.read_parquet(files, columns=TRANSCRIPT_READ_COLUMNS)
-            rollup = rollup_dataset(turns, cfg, mode=mode)
+            rollup = rollup_dataset(turns, cfg)
             rollup.write_parquet(rows_path, partition_cols=["tier"])
             # re-read = checkpoint barrier; drop the hive "shard=" path column
             rollup_written = rd.read_parquet(rows_path).select_columns(
@@ -371,7 +342,7 @@ def run_rollup_job(
             manifest.mark_complete(shard_id, "rollup", rows_path, n_rows, t1 - t0)
 
         blocks_path = str(out / "blocks" / f"shard={shard_id}")
-        blocks = encode_dataset(rollup_written, cfg, enc_cfg)
+        blocks = encode_dataset(rollup_written, enc_cfg)
         blocks.write_parquet(blocks_path, partition_cols=["tier"])
         n_blocks = _footer_rows(blocks_path)
         t2 = time.time()

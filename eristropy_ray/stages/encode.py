@@ -1,9 +1,9 @@
 """Gap-fill + compressed tier-block stage.
 
-Operates on rollup rows (already tiny relative to the turn table), either
-per hash partition of conv_id (bucketed mode) or block-local on
-conversation-complete rollup blocks (colocated mode). Per (conv_id, tier),
-sorted by bucket_ts:
+Operates on rollup rows (already tiny relative to the turn table) that
+hold whole conversations: one exchange partition of conv_id in the
+bucketed plan, or one input file's rows in the fused colocated task. Per
+(conv_id, tier), sorted by bucket_ts:
 
 1. optional linear-interpolation gap-fill onto the dense tier grid
    (same semantics as codecs/gapfill.py, fast-pathed when the grid is
@@ -42,7 +42,7 @@ from eristropy_ray.config import TIER_STEPS_US, EncodeConfig
 
 
 def make_partition_encode_fn(cfg: EncodeConfig):
-    """map_groups/map_batches fn: rollup rows -> compressed blocks."""
+    """Rollup rows of whole conversations -> compressed blocks."""
 
     columns = cfg.columns
 

@@ -43,18 +43,15 @@ def project_turns(batch: pa.Table) -> pa.Table:
     )
 
 
-def add_partition_key(
-    batch: pa.Table, num_partitions: int, salt_by_day: bool = True
-) -> pa.Table:
+def add_partition_key(batch: pa.Table, num_partitions: int) -> pa.Table:
     """Append the hash-bucket shuffle key (SURVEY.md §7.3 shuffle 1).
 
-    ``salt_by_day=True`` (default) keys on ``hash(conv_id) ^ mix(day)`` —
-    the salted-key repartitioning for hot conversations: a pathological
-    conversation with months of turns spreads across partitions at day
-    granularity, while every (conv, day) unit — hence every window of
-    every tier <= 1d — stays intact inside one partition. With
-    ``salt_by_day=False`` whole conversations co-locate (required only if
-    windows coarser than the salt period were added).
+    Keys on ``hash(conv_id) ^ mix(day)`` — the salted-key repartitioning
+    for hot conversations: a pathological conversation with months of
+    turns spreads across partitions at day granularity, while every
+    (conv, day) unit — hence every window of every tier <= 1d — stays
+    intact inside one partition. Stages that need whole conversations
+    (the encode's gap-fill) key on ``conv_id`` alone instead.
 
     Uses pandas' vectorized, process-stable string hash; skew across
     partitions is bounded by hash uniformity over (conv, day) units, and
@@ -63,13 +60,12 @@ def add_partition_key(
     import numpy as np
     import pandas as pd
 
+    from eristropy_ray.config import TIER_STEPS_US
+
     conv = batch["conv_id"].to_pandas()
     h = pd.util.hash_pandas_object(conv, index=False).to_numpy()
-    if salt_by_day:
-        from eristropy_ray.config import TIER_STEPS_US
-
-        ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        day = (ts // TIER_STEPS_US["1d"]).astype(np.uint64)
-        h = h ^ (day * np.uint64(0x9E3779B97F4A7C15))
+    ts = batch["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
+    day = (ts // TIER_STEPS_US["1d"]).astype(np.uint64)
+    h = h ^ (day * np.uint64(0x9E3779B97F4A7C15))
     part = (h % np.uint64(num_partitions)).astype("int64")
     return batch.append_column("part", pa.array(part, pa.int64()))

@@ -1,6 +1,6 @@
 """Core windowed-entropy rollup over flat numpy arrays — the single code
-path shared by every execution mode (bucketed map_batches, per-window
-map_groups, and the local oracle used in tests).
+path shared by both physical plans (per-file colocated tasks and bucketed
+hash partitions) and by the in-process references used in tests.
 
 Given (conv_id, turn_idx, ts, value) arrays for ANY set of conversations,
 sorts by (conv, ts, turn_idx) — the "stable turn ordering" invariant from
@@ -18,10 +18,10 @@ tier's windows of one series in ONE ragged pass (``_window_entropies``,
 - per-window radius r = cfg.r_frac · std(series) (population), r = 1.0 for
   constant series (keeps the reference invariant SampEn(constant) = 0).
 
-Windows never span group boundaries by construction: callers group by
-conversation (bucketed mode) or by (conversation, day) — each tier's
-buckets nest inside a day, so a (conv, day) group always contains whole
-windows for every tier <= 1d.
+Windows never span group boundaries by construction: callers hand over
+whole conversations (colocated files) or whole (conversation, day) units
+(day-salted bucketed partitions) — each tier's buckets nest inside a day,
+so a (conv, day) unit always contains whole windows for every tier <= 1d.
 """
 
 from __future__ import annotations
@@ -142,9 +142,9 @@ def rollup_windows(
     (conversation, day) watermark — the max ts seen in that conv-day
     minus the allowed lateness — are dropped before windowing. The
     watermark is deliberately (conv, DAY)-local, not conv-global: the
-    bucketed execution mode groups by day-salted conversation keys, so a
-    day-local rule is the strongest one every physical plan (colocated,
-    bucketed, window_groups) can evaluate identically — and it is
+    bucketed plan groups by day-salted conversation keys, so a day-local
+    rule is the strongest one both physical plans (colocated and
+    bucketed) can evaluate identically — and it is
     order-independent, the batch analogue of the streaming operator's
     end-state watermark (q_streaming_window's per-arrival drop).
     """

@@ -155,8 +155,8 @@ def test_partition_of_integer_hash_is_knuth_uint64():
     assert s[0] == s[2] and s.dtype == np.int64
 
 
-# registry entries whose plans run on exchange / keyed_combine and that
-# have a DuckDB twin
+# registry entries with a DuckDB twin whose plans run on exchange /
+# keyed_combine, plus the bucketed rollup's stats face
 MIGRATED = [
     "signal_counts", "min_signal_length", "difference", "zscore",
     "rollup_1h", "rollup_1d", "dedup_exact", "minhash_neardup",
@@ -165,15 +165,11 @@ MIGRATED = [
     "top_users", "orders_by_segment", "sessions", "rolling_mean",
     "running_sum", "topk_per_user", "heavy_hitters", "asof_purchase_click",
     "clicks_before_purchase", "band_join", "user_value_median",
+    "transcript_rollup_stats", "tier_blocks", "tier_block_sizes",
 ]
-# (table kind, entry) pairs left out: IVF training reads a sample of a
-# zero-row table back with no columns and fails before any exchange
-# runs; one-row orders and customer tables break orders_by_segment's
-# foreign key (every order's customer exists)
-SKIP = {
-    ("zero", "embedding_neardup_ivf"), ("zero", "ann_ivf"),
-    ("one", "orders_by_segment"),
-}
+# (table kind, entry) pairs left out: one-row orders and customer tables
+# break orders_by_segment's foreign key (every order's customer exists)
+SKIP = {("one", "orders_by_segment")}
 
 
 def _degenerate(src: Path, dst: Path, kind: str) -> str:

@@ -1,5 +1,6 @@
-"""End-to-end Ray pipeline tests: execution-mode equivalence, codec
-round-trip through the block stage, checkpoint/resume, determinism."""
+"""End-to-end Ray pipeline tests: plan equivalence against an in-process
+reference, codec round-trip through the block stage, checkpoint/resume,
+determinism."""
 
 import glob
 
@@ -27,12 +28,22 @@ def _sorted_rollup(ds):
     )
 
 
+def _reference_rollup(table, cfg):
+    """The partition-free reference: one in-process rollup of the whole
+    table."""
+    from eristropy_ray.pipelines.rollup import _rollup_table
+    from eristropy_ray.stages.project import project_turns
+
+    return _sorted_rollup(_rollup_table(project_turns(table), cfg))
+
+
 def test_modes_agree(ray_session, fixture_ds):
     from eristropy_ray.pipelines.rollup import rollup_dataset
+    from eristropy_ray.sources.transcripts import fixture_transcripts
 
     cfg = RollupConfig()
-    r1 = _sorted_rollup(rollup_dataset(fixture_ds, cfg, mode="bucketed"))
-    r2 = _sorted_rollup(rollup_dataset(fixture_ds, cfg, mode="window_groups"))
+    r1 = _sorted_rollup(rollup_dataset(fixture_ds, cfg))
+    r2 = _reference_rollup(fixture_transcripts(), cfg)
     pd.testing.assert_frame_equal(r1, r2)
     assert len(r1) > 0
     # ramp conversation: raw SampEn of a pure trend must be 0 at 1h/1d
@@ -68,9 +79,7 @@ def test_block_roundtrip(ray_session, fixture_ds):
     cfg = RollupConfig()
     enc_cfg = EncodeConfig()
     rollup = _sorted_rollup(rollup_dataset(fixture_ds, cfg))
-    blocks = encode_dataset(
-        rollup_dataset(fixture_ds, cfg), cfg, enc_cfg
-    ).to_pandas()
+    blocks = encode_dataset(rollup_dataset(fixture_ds, cfg), enc_cfg).to_pandas()
     decoded = decode_blocks(
         __import__("pyarrow").Table.from_pandas(blocks), enc_cfg.columns
     )
@@ -127,34 +136,40 @@ def test_synthesizer_deterministic(tmp_path):
 
 
 def test_colocated_matches_bucketed(ray_session, tmp_path):
-    """The zero-shuffle fast path produces the same rollup rows as the
-    generic bucketed mode on a conversation-partitioned layout."""
-    import glob as _glob
-
+    """The zero-shuffle colocated plan produces the same rollup rows and
+    the same tier blocks as the bucketed plan on a
+    conversation-partitioned layout."""
     import ray.data as rd
 
     from eristropy_ray.pipelines.rollup import (
-        encode_blocks_colocated,
+        TRANSCRIPT_READ_COLUMNS,
+        encode_dataset,
+        fused_rollup_encode_colocated,
         rollup_dataset,
         rollup_files_colocated,
     )
-    from eristropy_ray.pipelines.rollup import TRANSCRIPT_READ_COLUMNS
     from eristropy_ray.sources.transcripts import synthesize_transcripts
 
     d = synthesize_transcripts(
         tmp_path / "tx", n_convs=10, mean_turns=25, n_files=3, hot_factor=4
     )
-    files = sorted(_glob.glob(f"{d}/*.parquet"))
+    files = sorted(glob.glob(f"{d}/*.parquet"))
     cfg = RollupConfig()
-    a = _sorted_rollup(rollup_files_colocated(files, cfg))
-    b = _sorted_rollup(
-        rollup_dataset(
-            rd.read_parquet(files, columns=TRANSCRIPT_READ_COLUMNS), cfg
-        )
+    bucketed = rollup_dataset(
+        rd.read_parquet(files, columns=TRANSCRIPT_READ_COLUMNS), cfg
     )
-    pd.testing.assert_frame_equal(a, b)
-    blocks = encode_blocks_colocated(rollup_files_colocated(files, cfg)).to_pandas()
-    assert blocks["n_points"].sum() > 0
+    a = _sorted_rollup(rollup_files_colocated(files, cfg))
+    pd.testing.assert_frame_equal(a, _sorted_rollup(bucketed))
+    keys = ["tier", "conv_id", "block_start"]
+    blocks = [
+        ds.to_pandas().sort_values(keys).reset_index(drop=True)
+        for ds in (
+            fused_rollup_encode_colocated(files, str(tmp_path / "rows"), cfg),
+            encode_dataset(bucketed),
+        )
+    ]
+    pd.testing.assert_frame_equal(*blocks)
+    assert blocks[0]["n_points"].sum() > 0
 
 
 def test_path_dataset_runs_one_task_per_cpu(ray_session, tmp_path):
@@ -170,7 +185,6 @@ def test_path_dataset_runs_one_task_per_cpu(ray_session, tmp_path):
 
     from eristropy_ray.pipelines.rollup import (
         _path_dataset,
-        encode_blocks_colocated,
         fused_rollup_encode_colocated,
         rollup_files_colocated,
     )
@@ -207,11 +221,11 @@ def test_path_dataset_runs_one_task_per_cpu(ray_session, tmp_path):
     )
     files = sorted(glob.glob(f"{d}/*.parquet"))
     fused = fused_rollup_encode_colocated(files, str(tmp_path / "rows"))
-    staged = encode_blocks_colocated(rollup_files_colocated(files))
+    rows = rollup_files_colocated(files)
     assert fused.materialize().count() > 0
-    assert staged.materialize().count() > 0
+    assert rows.materialize().count() > 0
     assert not fused.context.op_resource_reservation_enabled
-    assert not staged.context.op_resource_reservation_enabled
+    assert not rows.context.op_resource_reservation_enabled
     assert DataContext.get_current().op_resource_reservation_enabled == before
 
 
@@ -284,34 +298,60 @@ def test_encode_multi_block_roundtrip(ray_session):
     np.testing.assert_array_equal(obs["sampen"].to_numpy(), vals)
 
 
-def test_resume_after_partial_failure_does_not_duplicate(ray_session, tmp_path):
-    """A shard that crashed mid-write leaves partial parquet files; the
-    rerun must replace them, not append (Ray write_parquet appends
-    uuid-named files into an existing dir)."""
-    import json
+def _canonical(path: str, keys: list[str]) -> pd.DataFrame:
+    """The rows of a job's hive-partitioned output dir, sorted, without
+    the shard path column."""
+    import pyarrow.dataset as pads
 
-    import ray.data as rd
+    df = pads.dataset(path, partitioning="hive").to_table().to_pandas()
+    return df.drop(columns=["shard"]).sort_values(keys).reset_index(drop=True)
 
+
+@pytest.mark.parametrize(
+    "layout,kill_at",
+    [("conv_files", 1), ("conv_files", 2), ("unpartitioned", 1), ("unpartitioned", 2)],
+)
+def test_resume_after_partial_failure_does_not_duplicate(
+    ray_session, tmp_path, monkeypatch, layout, kill_at
+):
+    """A run killed as it records its ``kill_at``-th manifest entry leaves
+    that stage's output on disk but unrecorded. The resumed run must
+    replace it, not append (Ray write_parquet appends uuid-named files
+    into an existing dir), and end with an uninterrupted run's rollup
+    rows and blocks."""
     from eristropy_ray.pipelines.rollup import run_rollup_job
     from eristropy_ray.sources.transcripts import synthesize_transcripts
+    from eristropy_ray.state.manifest import Manifest
 
     d = synthesize_transcripts(
-        tmp_path / "tx", n_convs=8, mean_turns=20, n_files=2, hot_factor=2
+        tmp_path / "tx", n_convs=8, mean_turns=20, n_files=4, hot_factor=2
     )
     files = sorted(glob.glob(f"{d}/*.parquet"))
-    out = tmp_path / "out"
-    s1 = run_rollup_job(files, str(out), n_shards=1, layout="unpartitioned")
-    rows_before = rd.read_parquet(str(out / "rollup")).count()
-    # simulate a crash AFTER rollup wrote but BEFORE encode completed:
-    # drop the manifest's encode record, keep the partial files on disk
-    mpath = out / "MANIFEST.json"
-    state = json.loads(mpath.read_text())
-    del state["shards"]["s0000"]["stages"]["encode"]
-    mpath.write_text(json.dumps(state))
-    s2 = run_rollup_job(files, str(out), n_shards=1, layout="unpartitioned")
-    assert s2["shards_skipped"] == 0 and s2["rows"] == s1["rows"]
-    rows_after = rd.read_parquet(str(out / "rollup")).count()
-    assert rows_after == rows_before  # would be 2x without the cleanup
+    clean, out = tmp_path / "clean", tmp_path / "out"
+    want = run_rollup_job(files, str(clean), n_shards=2, layout=layout)
+
+    entries = []
+    mark_complete = Manifest.mark_complete
+
+    def killed(self, shard_id, stage, *args):
+        entries.append((shard_id, stage))
+        if len(entries) == kill_at:
+            raise RuntimeError("killed")
+        mark_complete(self, shard_id, stage, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Manifest, "mark_complete", killed)
+        with pytest.raises(RuntimeError, match="killed"):
+            run_rollup_job(files, str(out), n_shards=2, layout=layout)
+    assert entries[-1] == ("s0000", ("rollup", "encode")[kill_at - 1])
+    got = run_rollup_job(files, str(out), n_shards=2, layout=layout)
+    assert got["shards_skipped"] == 0
+    assert (got["rows"], got["blocks"]) == (want["rows"], want["blocks"])
+    for stage, keys in (("rollup", ["tier", "conv_id", "bucket_ts"]),
+                        ("blocks", ["tier", "conv_id", "block_start"])):
+        pd.testing.assert_frame_equal(
+            _canonical(str(out / stage), keys), _canonical(str(clean / stage), keys)
+        )
 
 
 def test_hopping_window_non_divisible_span(ray_session, tmp_path):
@@ -435,10 +475,9 @@ def test_late_data_policy_modes_agree(ray_session, tmp_path):
     cfg = RollupConfig(lateness_us=6 * hour)
     a = _sorted_rollup(rollup_files_colocated([str(f)], cfg))
     ds = rd.read_parquet(str(f), columns=TRANSCRIPT_READ_COLUMNS)
-    b = _sorted_rollup(rollup_dataset(ds, cfg, mode="bucketed"))
-    c = _sorted_rollup(rollup_dataset(ds, cfg, mode="window_groups"))
+    b = _sorted_rollup(rollup_dataset(ds, cfg))
     pd.testing.assert_frame_equal(a, b)
-    pd.testing.assert_frame_equal(a, c)
+    pd.testing.assert_frame_equal(a, _reference_rollup(t, cfg))
 
     # manual expectation: day-1 of c0 keeps ts >= 20h - 6h = 14h
     h1 = a[(a.conv_id == "c0") & (a.tier == "1h")]
