@@ -32,9 +32,10 @@ class RollupConfig:
            deterministically strided down to this many points for the
            entropy kernels only (O(n²) SampEn on an unbounded hot window
            would be the straggler; stats stay exact over all points).
-           2048 keeps every window on the O(n²)-vectorized matrix path
-           with ~35 MB peak per kernel call; SampEn estimates are stable
-           well below this length.
+           2048 bounds the ragged SampEn kernel's worst case, a
+           near-constant window counted by its dense pairwise match
+           matrix: ~8 MB for the 2048² match matrix and its run mask.
+           SampEn estimates are stable well below this length.
         preprocess: "difference" applies first-differencing before the
            headline entropy columns (the reference's stationarity
            preprocessing, stationarity.py:237-241); "none" uses raw values.

@@ -31,9 +31,8 @@ import math
 
 import numpy as np
 
-from eristropy_ray.kernels.bootstrap import stationary_bootstrap
 from eristropy_ray.kernels.sampen import sampen
-from eristropy_ray.kernels.stats import standard_error
+from eristropy_ray.kernels.sampen_boot import sampen_bootstrap_se
 
 
 def cp_mean_and_sd(x: np.ndarray, m: int, r: float) -> tuple[float, float]:
@@ -174,11 +173,8 @@ def bootstrap_objective(
     key: tuple[int, ...] = (),
 ) -> float:
     """Bootstrap efficiency score max(SE, SE/SampEn) (extras.py:210-219)."""
-    X = stationary_bootstrap(x, p, n_boot, seed=seed, key=key)
-    sampens = np.array([sampen(X[i], m, r) for i in range(n_boot)])
-    se = standard_error(sampens)
-    s = sampen(x, m, r)
-    return max(se, se / s)
+    se = sampen_bootstrap_se(x, m, r, p, n_boot, seed=seed, key=key)
+    return max(se, se / sampen(x, m, r))
 
 
 def sampen_and_analytic_se(x: np.ndarray, m: int, r: float) -> tuple[float, float]:

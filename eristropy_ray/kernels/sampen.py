@@ -48,6 +48,8 @@ SAMPEN_MATRIX_MAX_N = 4096
 
 
 def _sampen_matrix(x: np.ndarray, m: int, r: float) -> float:
+    if not r > 0:  # strict `<`: no pair matches, not even i with itself
+        return math.nan
     n = x.size
     # build the boolean match matrix in row chunks so the float64
     # difference intermediate stays cache-sized (8x less memory traffic
@@ -122,7 +124,8 @@ def sampen(x: np.ndarray, m: int = 2, r: float = 0.2) -> float:
 
     Returns:
         ``-log(A/B)`` or NaN when no (m+1)-template pair matches (this
-        includes every case with ``n <= m+1``, where no pair can exist).
+        includes every case with ``n <= m+1``, where no pair can exist,
+        and every ``r <= 0``, where the strict ``<`` matches nothing).
         NaN-bearing signals also return NaN: the pipeline rejects them at
         the validation boundary (reference ``validation.py:43-49``), so a
         NaN here is outside the defined domain — the matrix path's

@@ -7,10 +7,12 @@ from the public algorithm (Bergstra et al., "Algorithms for Hyper-
 Parameter Optimization", NeurIPS 2011):
 
 - ``n_startup`` seeded-random trials, then per parameter: split observed
-  trials at the γ-quantile of the objective into good/bad sets, fit
-  univariate Parzen (Gaussian KDE, Scott-like bandwidth) densities l(x)
-  and g(x), draw candidates from l, keep the candidate maximizing
-  l(x)/g(x).
+  trials at the γ-quantile of the objective into good/bad sets, fit the
+  paper's adaptive Parzen estimators l(x) and g(x) (a Gaussian per
+  observation whose sigma is the larger gap to its sorted neighbours,
+  plus the prior N(mid, width) as one more component — the prior keeps
+  the search exploring), draw candidates from l, keep the candidate
+  maximizing l(x)/g(x).
 - Integer parameters are optimized on the continuous relaxation and
   rounded; NaN objectives are kept (failed trials) and excluded from the
   density fits, mirroring Optuna's failed-trial handling.
@@ -76,22 +78,30 @@ class TPEOptimizer:
         n_good = max(1, int(math.ceil(self.gamma * vals.size)))
         order = np.argsort(vals, kind="stable")
         good, bad = xs[order[:n_good]], xs[order[n_good:]]
-        if bad.size == 0:
-            bad = xs
         width = spec.high - spec.low
 
-        def kde(data: np.ndarray, pts: np.ndarray) -> np.ndarray:
-            bw = max(
-                1.06 * (data.std() + 1e-12) * data.size ** (-0.2), width / 50
+        def parzen(obs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # one Gaussian per observation, its sigma the larger gap to a
+            # sorted neighbour (or bound), plus the prior N(mid, width)
+            mus = np.append(obs, 0.5 * (spec.low + spec.high))
+            srt = np.sort(mus)
+            edges = np.concatenate(([spec.low], srt, [spec.high]))
+            sig = np.empty_like(mus)
+            sig[np.argsort(mus, kind="stable")] = np.maximum(
+                srt - edges[:-2], edges[2:] - srt
             )
-            z = (pts[:, None] - data[None, :]) / bw
-            return np.exp(-0.5 * z * z).sum(axis=1) / (data.size * bw) + 1e-300
+            sig = np.clip(sig, width / min(100.0, 1.0 + mus.size), width)
+            sig[-1] = width
+            return mus, sig
 
-        cands = self._rng.choice(good, size=self.n_candidates) + self._rng.normal(
-            scale=max(good.std(), width / 20), size=self.n_candidates
-        )
-        cands = np.clip(cands, spec.low, spec.high)
-        score = np.log(kde(good, cands)) - np.log(kde(bad, cands))
+        def log_density(pts: np.ndarray, mus: np.ndarray, sig: np.ndarray) -> np.ndarray:
+            z = (pts[:, None] - mus[None, :]) / sig
+            return np.log((np.exp(-0.5 * z * z) / sig).mean(axis=1) + 1e-300)
+
+        (lm, ls), (gm, gs) = parzen(good), parzen(bad)
+        k = self._rng.integers(lm.size, size=self.n_candidates)
+        cands = np.clip(self._rng.normal(lm[k], ls[k]), spec.low, spec.high)
+        score = log_density(cands, lm, ls) - log_density(cands, gm, gs)
         best = float(cands[int(np.argmax(score))])
         return float(np.clip(round(best), spec.low, spec.high)) if spec.is_int else best
 
@@ -113,11 +123,10 @@ class TPEOptimizer:
         Raises OptimizationFailureError when every trial's objective is
         NaN (the reference's "No trials are completed yet." path,
         sample_entropy.py:333-344)."""
-        for i in range(n_trials):
+        for _ in range(n_trials):
             params = self.suggest()
             value = float(objective(params))
             self.trials.append(Trial(len(self.trials), params, value))
-            _ = i
         finite = [t for t in self.trials if math.isfinite(t.value)]
         if not finite:
             raise OptimizationFailureError(

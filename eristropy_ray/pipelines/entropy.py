@@ -38,7 +38,11 @@ import ray
 import ray.data as rd
 
 from eristropy_ray.kernels.bootstrap import stable_key
-from eristropy_ray.kernels.lake import sampen_and_analytic_se
+from eristropy_ray.kernels.lake import (
+    bootstrap_objective,
+    counting_objective,
+    sampen_and_analytic_se,
+)
 from eristropy_ray.kernels.sampen import sampen
 from eristropy_ray.kernels.sampen_boot import (
     sampen_bootstrap_mse,
@@ -49,7 +53,7 @@ from eristropy_ray.optimize import (
     ParamSpec,
     TPEOptimizer,
 )
-from eristropy_ray.pipelines.exchange import exchange
+from eristropy_ray.stages.signals import gather_signals, map_signals
 
 
 class SampEnSettingWarning(UserWarning):
@@ -119,13 +123,13 @@ DEFAULT_SAMPLE_CAP = 1024
 DEFAULT_SAMPLE_ROW_CAP = 8_000_000
 
 
-def _signal_lengths(signals: rd.Dataset) -> pd.DataFrame:
+def _signal_lengths(signals: rd.Dataset | pd.DataFrame) -> pd.DataFrame:
     """Per-signal row counts as a small driver frame (signal_id, n).
 
-    One count-only pass: each batch emits per-signal partial counts
-    (#signals × #blocks scalar rows travel, never values), summed on the
-    driver. Null signal_ids are dropped (groupby dropna semantics,
-    matching ``_sorted_groups``)."""
+    For a Dataset, one count-only pass: each batch emits per-signal
+    partial counts (#signals × #blocks scalar rows travel, never values),
+    summed on the driver. Null signal_ids are dropped (groupby dropna
+    semantics, matching ``_sorted_groups``)."""
 
     def partial_counts(df: pd.DataFrame) -> pd.DataFrame:
         g = df.groupby("signal_id", dropna=True, sort=False).size()
@@ -133,7 +137,10 @@ def _signal_lengths(signals: rd.Dataset) -> pd.DataFrame:
         out["n"] = out["n"].astype("int64")
         return out
 
-    parts = signals.map_batches(partial_counts, batch_format="pandas").to_pandas()
+    if isinstance(signals, rd.Dataset):
+        parts = signals.map_batches(partial_counts, batch_format="pandas").to_pandas()
+    else:
+        parts = partial_counts(signals)
     if parts.empty:
         return pd.DataFrame({"signal_id": pd.Series([], dtype=object),
                              "n": pd.Series([], dtype="int64")})
@@ -229,23 +236,17 @@ def find_optimal_sampen_params(
         specs.append(ParamSpec("p", *cfg.p_range))
     opt = TPEOptimizer(specs, seed=cfg.random_seed)
 
+    # per-signal score, reduced in ``collected``'s sorted-id order
+    score = sampen_bootstrap_mse if cfg.objective == "mse" else bootstrap_objective
+
     def objective(params: dict[str, float]) -> float:
         m = int(params.get("m", cfg.m))
         r = float(params.get("r", cfg.r))
         p = float(params.get("p", cfg.p))
-        vals = np.empty(len(collected))
-        for i, (sid, x) in enumerate(collected):
-            key = stable_key(sid)
-            if cfg.objective == "mse":
-                vals[i] = sampen_bootstrap_mse(
-                    x, m, r, p, cfg.n_boot, seed=cfg.random_seed or 0, key=key
-                )
-            else:
-                se = sampen_bootstrap_se(
-                    x, m, r, p, cfg.n_boot, seed=cfg.random_seed or 0, key=key
-                )
-                s = sampen(x, m, r)
-                vals[i] = max(se, se / s)
+        vals = np.array([
+            score(x, m, r, p, cfg.n_boot, seed=cfg.random_seed or 0, key=stable_key(sid))
+            for sid, x in collected
+        ])
         if cfg.objective == "mse":
             return float(vals.mean()) + cfg.lam * math.sqrt(r)
         return float(np.median(vals))
@@ -278,37 +279,32 @@ def _make_sampen_final_partition(
     closure — the broadcast is the task args, no table ships. Also emits
     n_obs so the driver can enforce the min-length guard without a
     separate counting scan."""
-    from eristropy_ray.stages.signals import _sorted_groups
+
+    def estimate(sid, x: np.ndarray) -> float | tuple[float, float]:
+        s = sampen(x, m, r)
+        if not estimate_uncertainty:
+            return s
+        key = stable_key(sid)
+        return s, sampen_bootstrap_se(x, m, r, float(p), n_boot, seed=seed, key=key)
+
+    columns = ["sampen", "se_sampen"] if estimate_uncertainty else ["sampen"]
 
     def sampen_final(df: pd.DataFrame) -> pd.DataFrame:
-        sdf, starts, _ = _sorted_groups(df)
-        v = sdf["value"].to_numpy(dtype=np.float64)
-        ends = np.append(starts[1:], v.size)
-        out: dict = {"signal_id": [], "n_obs": [], "sampen": []}
-        if estimate_uncertainty:
-            out["se_sampen"] = []
-        for s, e in zip(starts, ends):
-            sid = sdf["signal_id"].iloc[s]
-            x = v[s:e]
-            out["signal_id"].append(sid)
-            out["n_obs"].append(int(e - s))
-            out["sampen"].append(sampen(x, m, r))
-            if estimate_uncertainty:
-                out["se_sampen"].append(
-                    sampen_bootstrap_se(
-                        x, m, r, float(p), n_boot, seed=seed,
-                        key=stable_key(sid),
-                    )
-                )
-        res = pd.DataFrame(out)
-        if res.empty:  # typed empty block (keeps Ray block schemas stable)
-            res = res.astype(
-                {"n_obs": "int64", "sampen": "float64"}
-                | ({"se_sampen": "float64"} if estimate_uncertainty else {})
-            )
-        return res
+        return map_signals(df, estimate, columns)
 
     return sampen_final
+
+
+def _check_m_range(cfg: SampEnConfig, lengths: pd.Series) -> None:
+    """The reference's gathered-table guard: some signal, and none shorter
+    than ``m_range``'s upper limit."""
+    if lengths.empty:
+        raise ValueError("no signals")
+    if cfg.m_range[1] > int(lengths.min()):
+        raise ValueError(
+            "The upper limit of m_range cannot exceed the length of the "
+            "shortest time series."
+        )
 
 
 def compute_all_sampen(
@@ -328,48 +324,30 @@ def compute_all_sampen(
     deterministic stride, and the final estimation pass fans out through
     ``exchange`` with the scalar stars in the closure — the full signal
     table never lands on the driver. DataFrame inputs (the reference's
-    local API shape, sample_entropy.py:346) run the identical kernels
-    in-process.
+    local API shape, sample_entropy.py:346) run the same final-pass stage
+    in process.
     """
     is_ds = isinstance(signals, rd.Dataset)
-    if is_ds:
-        collected = None
-        if optimize:
+    info: dict = {"m_star_": cfg.m, "r_star_": cfg.r, "p_star_": cfg.p}
+    if optimize or not is_ds:
+        if is_ds:
             # one materialization ONLY when there are two consumers (the
             # optimizer sample and the final pass would otherwise
             # re-execute the upstream lineage twice); the optimize=False
             # path streams straight through the single final pass
             signals = signals.materialize()
-            # the count-only lengths pass serves both the FULL-corpus
-            # min-length guard (enforced BEFORE the optimizer and the
-            # distributed fan-out burn any work — a too-short signal
-            # outside the stride sample must fail fast, matching the
-            # reference's gathered-table guard) and the bounded gather
-            lengths = _signal_lengths(signals)
-            if lengths.empty:
-                raise ValueError("no signals")
-            if cfg.m_range[1] > int(lengths["n"].min()):
-                raise ValueError(
-                    "The upper limit of m_range cannot exceed the length "
-                    "of the shortest time series."
-                )
-            collected = _collect_signals(
-                signals, sample_cap=sample_cap,
-                row_cap=DEFAULT_SAMPLE_ROW_CAP, lengths=lengths,
-            )
-    else:
-        collected = _collect_signals(signals)
-        if not collected:
-            raise ValueError("no signals")
-        min_len = min(x.size for _, x in collected)
-        if cfg.m_range[1] > min_len:
-            raise ValueError(
-                "The upper limit of m_range cannot exceed the length of "
-                "the shortest time series."
-            )
-
-    info: dict = {"m_star_": cfg.m, "r_star_": cfg.r, "p_star_": cfg.p}
+        # the count-only lengths pass serves both the FULL-corpus
+        # min-length guard (enforced BEFORE the optimizer and the
+        # distributed fan-out burn any work — a too-short signal outside
+        # the stride sample must fail fast, matching the reference's
+        # gathered-table guard) and the bounded gather
+        lengths = _signal_lengths(signals)
+        _check_m_range(cfg, lengths["n"])
     if optimize:
+        collected = _collect_signals(
+            signals, sample_cap=sample_cap,
+            row_cap=DEFAULT_SAMPLE_ROW_CAP, lengths=lengths,
+        )
         best, opt = find_optimal_sampen_params(collected, cfg)
         info.update(
             m_star_=best["m"], r_star_=best["r"], p_star_=best["p"],
@@ -389,46 +367,19 @@ def compute_all_sampen(
             "probability value."
         )
 
-    if is_ds:
-        fn = _make_sampen_final_partition(
-            int(m_star), float(r_star),
-            None if p_star is None else float(p_star),
-            cfg.n_boot, cfg.random_seed or 0, estimate_uncertainty,
-        )
-        result = (
-            exchange(signals, "signal_id", fn)
-            .to_pandas()  # output-scale: one row per signal
-            .sort_values("signal_id", kind="stable")
-            .reset_index(drop=True)
-        )
-        if result.empty:
-            raise ValueError("no signals")
-        # guard enforced post-hoc: same ValueError, one pass over the data
-        if cfg.m_range[1] > int(result["n_obs"].min()):
-            raise ValueError(
-                "The upper limit of m_range cannot exceed the length of "
-                "the shortest time series."
-            )
-        return result.drop(columns=["n_obs"]), info
-
-    rows = {"signal_id": [], "sampen": []}
-    if estimate_uncertainty:
-        rows["se_sampen"] = []
-    for sid, x in collected:
-        rows["signal_id"].append(sid)
-        rows["sampen"].append(sampen(x, int(m_star), float(r_star)))
-        if estimate_uncertainty:
-            rows["se_sampen"].append(
-                sampen_bootstrap_se(
-                    x, int(m_star), float(r_star), float(p_star), cfg.n_boot,
-                    seed=cfg.random_seed or 0, key=stable_key(sid),
-                )
-            )
-    return pd.DataFrame(rows), info
+    fn = _make_sampen_final_partition(
+        int(m_star), float(r_star),
+        None if p_star is None else float(p_star),
+        cfg.n_boot, cfg.random_seed or 0, estimate_uncertainty,
+    )
+    result = gather_signals(signals, fn)  # output-scale: one row per signal
+    # a streamed Dataset is guarded here: same ValueError, one pass
+    _check_m_range(cfg, result["n_obs"])
+    return result.drop(columns=["n_obs"]), info
 
 
 def sampen_efficiency(
-    signals: rd.Dataset,
+    signals: rd.Dataset | pd.DataFrame,
     m: int,
     r_range: tuple[float, float],
     r_step_size: float = 0.05,
@@ -441,10 +392,10 @@ def sampen_efficiency(
     """O6-O9: grid-based r selection + analytic-SE estimation, distributed.
 
     The (signal × r) score matrix is computed per partition with the signal
-    series hoisted once; only (signal_id, r_index, score) scalars travel.
+    series hoisted once; only one row of r-grid scores per signal travels.
+    When no score is finite (no signals, or all too short), r* is NaN and
+    every signal's row is NaN.
     """
-    from eristropy_ray.kernels.lake import bootstrap_objective, counting_objective
-
     if isinstance(signals, rd.Dataset):
         # one materialization: the score and final passes below would
         # otherwise re-execute the entire upstream lineage (e.g. the
@@ -455,59 +406,34 @@ def sampen_efficiency(
     pts = np.arange(
         r_range[0], r_range[1] + interpolation_step_size, interpolation_step_size
     )
+    r_cols = [f"r{j}" for j in range(rs.size)]
 
-    def score_partition(df: pd.DataFrame) -> pd.DataFrame:
-        from eristropy_ray.stages.signals import _sorted_groups
+    def scores(sid, x: np.ndarray) -> list[float]:
+        if objective == "counting":
+            return [counting_objective(x, m, float(r)) for r in rs]
+        key = stable_key(sid)
+        return [
+            bootstrap_objective(x, m, float(r), p, n_boot, seed=random_seed or 0, key=key)
+            for r in rs
+        ]
 
-        sdf, starts, _ = _sorted_groups(df)
-        v = sdf["value"].to_numpy(dtype=np.float64)
-        ends = np.append(starts[1:], v.size)
-        out = {"signal_id": [], "r_idx": [], "score": []}
-        for s, e in zip(starts, ends):
-            sid = sdf["signal_id"].iloc[s]
-            x = v[s:e]
-            for j, r in enumerate(rs):
-                if objective == "counting":
-                    score = counting_objective(x, m, float(r))
-                else:
-                    score = bootstrap_objective(
-                        x, m, float(r), p, n_boot,
-                        seed=random_seed or 0, key=stable_key(sid),
-                    )
-                out["signal_id"].append(sid)
-                out["r_idx"].append(j)
-                out["score"].append(score)
-        return pd.DataFrame(out)
+    def sampen_eff_scores(df: pd.DataFrame) -> pd.DataFrame:
+        return map_signals(df, scores, r_cols)
 
-    score_partition.__name__ = "sampen_eff_scores"
-    scores = exchange(signals, "signal_id", score_partition).to_pandas()
+    grid = gather_signals(signals, sampen_eff_scores)[r_cols].to_numpy()
     # np.median propagates NaN (reference extras.py:238 semantics);
     # pandas' median would silently skip failed signals
-    med = (
-        scores.groupby("r_idx")["score"]
-        .apply(lambda g: float(np.median(g.to_numpy())))
-        .reindex(range(rs.size))
-        .to_numpy()
-    )
+    med = np.median(grid, axis=0) if len(grid) else np.full(rs.size, np.nan)
     interp = np.interp(pts, rs, med)
-    r_star = float(pts[int(np.nanargmin(interp))])
-    info = {"r_star_": r_star, "obj_": float(np.nanmin(interp)), "rs": rs,
-            "median_scores": med}
+    found = not np.isnan(interp).all()
+    r_star = float(pts[int(np.nanargmin(interp))]) if found else math.nan
+    info = {"r_star_": r_star, "obj_": float(np.nanmin(interp)) if found else math.nan,
+            "rs": rs, "median_scores": med}
 
-    def final_partition(df: pd.DataFrame) -> pd.DataFrame:
-        from eristropy_ray.stages.signals import _sorted_groups
+    def estimate(_, x: np.ndarray) -> tuple[float, float]:
+        return sampen_and_analytic_se(x, m, r_star)
 
-        sdf, starts, _ = _sorted_groups(df)
-        v = sdf["value"].to_numpy(dtype=np.float64)
-        ends = np.append(starts[1:], v.size)
-        out = {"signal_id": [], "sampen": [], "se_sampen": []}
-        for s, e in zip(starts, ends):
-            sampen_v, se_v = sampen_and_analytic_se(v[s:e], m, r_star)
-            out["signal_id"].append(sdf["signal_id"].iloc[s])
-            out["sampen"].append(sampen_v)
-            out["se_sampen"].append(se_v)
-        return pd.DataFrame(out)
+    def sampen_eff_final(df: pd.DataFrame) -> pd.DataFrame:
+        return map_signals(df, estimate, ["sampen", "se_sampen"])
 
-    final_partition.__name__ = "sampen_eff_final"
-    result = exchange(signals, "signal_id", final_partition).to_pandas()
-    return result.sort_values("signal_id").reset_index(drop=True), info
+    return gather_signals(signals, sampen_eff_final).drop(columns=["n_obs"]), info

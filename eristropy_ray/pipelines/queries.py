@@ -36,6 +36,7 @@ from eristropy_ray.stages.signals import (
     adf_partition,
     difference_partition,
     entropy_partition,
+    gather_signals,
     zscore_partition,
 )
 
@@ -453,8 +454,7 @@ def q_adf_stationarity(sf_dir: str):
     from eristropy_ray.kernels.multitest import holm_sidak
 
     diffed = exchange(_events_signals(sf_dir), "signal_id", difference_partition)
-    pvals = exchange(diffed, "signal_id", adf_partition).to_pandas()
-    pvals = pvals.sort_values("signal_id").reset_index(drop=True)
+    pvals = gather_signals(diffed, adf_partition)
     reject, corrected = holm_sidak(pvals["pvalue"].to_numpy(), alpha=0.05)
     pvals["stationary"] = reject
     pvals["pvalue_corrected"] = corrected
@@ -590,7 +590,8 @@ def q_stationary_signals(sf_dir: str):
 
 def q_sampen_optimized(sf_dir: str):
     """SampleEntropy.compute_all_sampen(optimize=True) analogue with a
-    deterministic TPE-lite search (rows-only)."""
+    deterministic TPE-lite search (rows-only). Signals too short for any
+    (m, r) give NaN rows where the library call raises."""
     import warnings
 
     from eristropy_ray.pipelines.entropy import (
@@ -599,7 +600,7 @@ def q_sampen_optimized(sf_dir: str):
         compute_all_sampen,
     )
 
-    from eristropy_ray.stages.signals import zscore_plain_partition
+    from eristropy_ray.stages.signals import map_signals, zscore_plain_partition
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampEnSettingWarning)
@@ -609,9 +610,18 @@ def q_sampen_optimized(sf_dir: str):
     normalized = exchange(
         _events_signals(sf_dir), "signal_id", zscore_plain_partition
     )
-    out, _ = compute_all_sampen(
-        normalized, cfg, optimize=True, estimate_uncertainty=True
-    )
+    try:
+        out, _ = compute_all_sampen(
+            normalized, cfg, optimize=True, estimate_uncertainty=True
+        )
+    except ValueError:
+        # no signals, one shorter than m_range, or every trial NaN (which
+        # OptimizationFailureWarning has reported): no estimate exists
+
+        def sampen_final(df: pd.DataFrame) -> pd.DataFrame:
+            return map_signals(df, lambda _, x: (np.nan, np.nan), ["sampen", "se_sampen"])
+
+        out = gather_signals(normalized, sampen_final).drop(columns=["n_obs"])
     return out
 
 

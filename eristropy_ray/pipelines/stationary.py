@@ -43,6 +43,7 @@ from eristropy_ray.pipelines.exchange import exchange
 from eristropy_ray.stages.signals import (
     _sorted_groups,
     difference_partition,
+    gather_signals,
     make_adf_partition,
     zscore_plain_partition,
 )
@@ -110,7 +111,7 @@ class StationaryConfig:
 
 def linreg_detrend_partition(df: pd.DataFrame) -> pd.DataFrame:
     """T3: per-signal OLS residual vs the actual timestamp (linreg.py:38-100)."""
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     t = sdf["ts_us"].to_numpy(dtype=np.float64)
     out = np.empty_like(v)
@@ -127,7 +128,7 @@ def make_gp_detrend_partition(cfg: StationaryConfig, ls_vals_ref):
 
     def gp_detrend_partition(df: pd.DataFrame) -> pd.DataFrame:
         ls_vals = ray.get(ls_vals_ref) if ls_vals_ref is not None else None
-        sdf, starts, _ = _sorted_groups(df)
+        sdf, starts = _sorted_groups(df)
         v = sdf["value"].to_numpy(dtype=np.float64)
         ends = np.append(starts[1:], v.size)
         out = np.empty_like(v)
@@ -186,17 +187,9 @@ def make_stationary_signals(
     transformed = transformed.materialize()
 
     # barrier: one (signal_id, pvalue) scalar per signal to the driver
-    pvals = (
-        exchange(
-            transformed,
-            "signal_id",
-            make_adf_partition(
-                cfg.adf_regression, cfg.adf_autolag, cfg.adf_maxlag
-            ),
-        )
-        .to_pandas()
-        .sort_values("signal_id", kind="stable")
-        .reset_index(drop=True)
+    pvals = gather_signals(
+        transformed,
+        make_adf_partition(cfg.adf_regression, cfg.adf_autolag, cfg.adf_maxlag),
     )
     reject, _ = holm_sidak(pvals["pvalue"].to_numpy(), alpha=cfg.alpha)
     accepted = set(pvals["signal_id"][reject].tolist())

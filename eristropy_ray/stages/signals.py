@@ -1,9 +1,9 @@
 """Grouped signal-table operators over (signal_id, ts_us, value[, tie]).
 
 The reference's per-signal transforms (SURVEY.md §2.3-2.5) re-expressed as
-vectorized multi-signal array kernels, used by the bucketed
-``groupby(part).map_groups`` execution mode — one call processes ALL
-signals of a hash partition with numpy, no per-signal Python dispatch:
+vectorized multi-signal stages. ``pipelines.exchange.exchange`` calls
+each stage once per hash partition of ``signal_id``, so one call handles
+every signal of its partition:
 
 - ``difference_partition``: T2 ``_difference_all_signals``
   (difference.py:29-81) — per-signal first difference, dropping each
@@ -17,6 +17,9 @@ signals of a hash partition with numpy, no per-signal Python dispatch:
 - ``adf_partition``: A1 ``_calculate_pvalues`` (stationarity.py:129-165) —
   per-signal ADF p-value with the p=1.0 too-short fallback.
 
+Per-signal scalar stages (one output row per signal) are ``map_signals``
+calls; ``gather_signals`` runs one over a whole Dataset or DataFrame.
+
 Ordering contract: rows are sorted by (signal, ts_us, tie) before any
 kernel — the reference's global sort_values(timestamp) + stable groupby
 (difference.py:52-55) restricted to within-partition, which is sufficient
@@ -25,16 +28,20 @@ because signals never span partitions.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence
+
 import numpy as np
 import pandas as pd
+import ray.data as rd
 
 from eristropy_ray.kernels.adf import adf_pvalue_or_one
 from eristropy_ray.kernels.permen import permen
-from eristropy_ray.kernels.sampen import sampen
+from eristropy_ray.kernels.sampen import sampen_auto_r
+from eristropy_ray.pipelines.exchange import exchange, segment_starts
 
 
-def _sorted_groups(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray, np.ndarray]:
-    """(sorted df, group start indices, group codes) by (signal_id, ts_us, tie).
+def _sorted_groups(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray]:
+    """(sorted df, group start indices) by (signal_id, ts_us, tie).
 
     Null signal_ids are DROPPED first (the reference's pandas groupby
     default, dropna=True): factorize codes them all as -1, which would
@@ -45,18 +52,57 @@ def _sorted_groups(df: pd.DataFrame) -> tuple[pd.DataFrame, np.ndarray, np.ndarr
     codes, _ = pd.factorize(df["signal_id"], sort=False)
     tie = df["tie"].to_numpy() if "tie" in df.columns else np.zeros(len(df))
     order = np.lexsort((tie, df["ts_us"].to_numpy(), codes))
-    sdf = df.iloc[order].reset_index(drop=True)
-    scodes = codes[order]
-    change = np.empty(scodes.size, dtype=bool)
-    if scodes.size:
-        change[0] = True
-        change[1:] = scodes[1:] != scodes[:-1]
-    starts = np.flatnonzero(change)
-    return sdf, starts, scodes
+    return df.iloc[order].reset_index(drop=True), segment_starts(codes[order])
+
+
+def map_signals(
+    df: pd.DataFrame,
+    fn: Callable[[object, np.ndarray], object],
+    columns: Sequence[str],
+) -> pd.DataFrame:
+    """One row per signal of ``df``: ``signal_id``, ``n_obs``, then the
+    float64 ``columns`` from ``fn(signal_id, x)``, where ``x`` holds the
+    signal's values in (ts_us, tie) order and ``fn`` returns one value
+    per column (a bare scalar for one column). A zero-row ``df`` gives a
+    zero-row frame with the same columns."""
+    sdf, starts = _sorted_groups(df)
+    v = sdf["value"].to_numpy(dtype=np.float64)
+    bounds = np.append(starts, v.size)
+    ids = sdf["signal_id"].iloc[starts].reset_index(drop=True)
+    vals = [fn(sid, v[s:e]) for sid, s, e in zip(ids.to_numpy(), bounds[:-1], bounds[1:])]
+    out = pd.DataFrame({"signal_id": ids, "n_obs": np.diff(bounds)})
+    cols = np.array(vals, dtype=np.float64).reshape(starts.size, len(columns))
+    for j, name in enumerate(columns):
+        out[name] = cols[:, j]
+    return out
+
+
+#: zero-row input in the signal-table schema
+_NO_SIGNALS = pd.DataFrame(
+    {"signal_id": np.empty(0, np.int64), "ts_us": np.empty(0, np.int64),
+     "value": np.empty(0)}
+)
+
+
+def gather_signals(
+    signals: rd.Dataset | pd.DataFrame, fn: Callable[[pd.DataFrame], pd.DataFrame]
+) -> pd.DataFrame:
+    """``fn``, a ``map_signals`` stage, over every signal of ``signals`` —
+    in process for a DataFrame, through ``exchange`` for a Dataset — as
+    one driver frame sorted by signal_id. An empty Dataset gives ``fn``'s
+    zero-row frame: Ray's ``to_pandas`` drops zero-row blocks, and their
+    columns with them."""
+    if isinstance(signals, rd.Dataset):
+        out = exchange(signals, "signal_id", fn).to_pandas()
+        if out.columns.empty:
+            out = fn(_NO_SIGNALS)
+    else:
+        out = fn(signals)
+    return out.sort_values("signal_id", kind="stable").reset_index(drop=True)
 
 
 def difference_partition(df: pd.DataFrame) -> pd.DataFrame:
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     n = v.size
     if n == 0:
@@ -73,7 +119,7 @@ def difference_partition(df: pd.DataFrame) -> pd.DataFrame:
 def zscore_partition(df: pd.DataFrame) -> pd.DataFrame:
     """Exact-decimal z-score; groups with <2 rows are dropped (the SQL
     oracle does the same) and zero-variance groups yield NaN."""
-    sdf, starts, scodes = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     if v.size == 0:
         return sdf.iloc[0:0][["signal_id", "ts_us", "value"]]
@@ -98,19 +144,10 @@ def zscore_partition(df: pd.DataFrame) -> pd.DataFrame:
 def entropy_partition(
     df: pd.DataFrame, m: int = 2, r_frac: float = 0.2, permen_order: int = 3
 ) -> pd.DataFrame:
-    sdf, starts, scodes = _sorted_groups(df)
-    v = sdf["value"].to_numpy(dtype=np.float64)
-    ends = np.append(starts[1:], v.size)
-    rows = {"signal_id": [], "n_obs": [], "sampen": [], "permen": []}
-    for s, e in zip(starts, ends):
-        x = v[s:e]
-        sd = float(x.std())
-        r = r_frac * sd if sd > 0 else 1.0
-        rows["signal_id"].append(sdf["signal_id"].iloc[s])
-        rows["n_obs"].append(int(e - s))
-        rows["sampen"].append(sampen(x, m, r))
-        rows["permen"].append(permen(x, order=permen_order))
-    return pd.DataFrame(rows)
+    def entropies(_, x: np.ndarray) -> tuple[float, float]:
+        return sampen_auto_r(x, m, r_frac)[0], permen(x, order=permen_order)
+
+    return map_signals(df, entropies, ["sampen", "permen"])
 
 
 def make_adf_partition(
@@ -122,20 +159,13 @@ def make_adf_partition(
     user surface ('ct' trend regression, fixed-lag autolag=None) —
     defaults reproduce the reference's only configuration."""
 
+    def pvalue(_, x: np.ndarray) -> float:
+        return adf_pvalue_or_one(
+            x, regression=regression, autolag=autolag, maxlag=maxlag
+        )
+
     def adf_partition(df: pd.DataFrame) -> pd.DataFrame:
-        sdf, starts, _ = _sorted_groups(df)
-        v = sdf["value"].to_numpy(dtype=np.float64)
-        ends = np.append(starts[1:], v.size)
-        rows = {"signal_id": [], "pvalue": [], "n_obs": []}
-        for s, e in zip(starts, ends):
-            rows["signal_id"].append(sdf["signal_id"].iloc[s])
-            rows["pvalue"].append(
-                adf_pvalue_or_one(
-                    v[s:e], regression=regression, autolag=autolag, maxlag=maxlag
-                )
-            )
-            rows["n_obs"].append(int(e - s))
-        return pd.DataFrame(rows)
+        return map_signals(df, pvalue, ["pvalue"])[["signal_id", "pvalue", "n_obs"]]
 
     return adf_partition
 
@@ -149,7 +179,7 @@ def zscore_plain_partition(df: pd.DataFrame) -> pd.DataFrame:
     pandas groupby().transform((x-mean)/std), ddof=1). The integer-micro
     variant above exists for binary-exact SQL-oracle comparison and would
     quantize tiny detrended residuals; this one does not."""
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     if v.size == 0:
         return sdf.iloc[0:0][["signal_id", "ts_us", "value"]]
@@ -175,7 +205,7 @@ def sessionize_partition(
     flagship, this is the event-driven window shape). Output one row per
     (signal, session): n_events, start_us, end_us, duration_us — all
     integers, so the DuckDB window-function oracle matches exactly."""
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     ts = sdf["ts_us"].to_numpy(dtype=np.int64)
     n = ts.size
     if n == 0:
@@ -214,7 +244,7 @@ def rolling_mean_partition(df: pd.DataFrame, window: int = 5) -> pd.DataFrame:
     """Exact rolling mean over the last ``window`` rows per signal
     (integer-micro prefix sums; matches the DuckDB ROWS-frame oracle
     bit-for-bit)."""
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     n = v.size
     if n == 0:
@@ -244,7 +274,7 @@ def running_sum_partition(df: pd.DataFrame) -> pd.DataFrame:
     DECIMAL(18,6)-window-sum-cast-to-DOUBLE bit-for-bit while the
     per-signal micro total stays below 2**53 (documented premise; a
     wider deployment would emit the micro int64 itself)."""
-    sdf, starts, _ = _sorted_groups(df)
+    sdf, starts = _sorted_groups(df)
     v = sdf["value"].to_numpy(dtype=np.float64)
     n = v.size
     if n == 0:

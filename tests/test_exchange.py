@@ -2,7 +2,8 @@
 a one-pass numpy group-by bit for bit however rows are batched,
 ``exchange`` hands each key's rows to one call without ``part``, and the
 registry entries built on them match their DuckDB twins on degenerate
-tables (zero rows, one row, one user)."""
+tables (zero rows, one row, one user); the rows-only per-signal entries
+return typed results on the same tables and on ~17-event users."""
 
 from __future__ import annotations
 
@@ -182,6 +183,9 @@ def _degenerate(src: Path, dst: Path, kind: str) -> str:
             t = t.slice(0, 0)
         elif kind == "one":
             t = t.slice(0, 1)
+        elif f.name == "events.parquet" and kind == "short":
+            user = pa.array(np.arange(t.num_rows, dtype=np.int64) % 60)
+            t = t.set_column(t.schema.get_field_index("user_id"), "user_id", user)
         elif f.name == "events.parquet":
             t = t.filter(pc.equal(t["user_id"], t["user_id"][0]))
         pq.write_table(t, dst / f.name)
@@ -217,3 +221,46 @@ def test_migrated_entries_match_oracle_on_degenerate_tables(
         if verdict != "OK":
             bad[name] = verdict
     assert not bad, bad
+
+
+# rows-only per-signal entries -> (columns, one row per signal with at
+# least this many events)
+SIGNAL_ENTRIES = {
+    "sampen_per_signal": (["signal_id", "n_obs", "sampen", "permen"], 1),
+    "adf_stationarity": (
+        ["signal_id", "pvalue", "n_obs", "stationary", "pvalue_corrected"], 2
+    ),
+    "stationary_signals": (["signal_id", "ts_us", "value"], None),
+    "sampen_optimized": (["signal_id", "sampen", "se_sampen"], 1),
+    "sampen_efficiency": (["signal_id", "sampen", "se_sampen"], 1),
+}
+
+
+@pytest.mark.parametrize("kind", ["zero", "one", "one_user", "short"])
+def test_signal_entries_are_typed_on_degenerate_tables(
+    ray_session, sf_tiny, tmp_path, kind
+):
+    """No crash and a typed result: the entry's columns, NaN estimates for
+    signals too short to have one. "short" gives every one of 60 users
+    ~17 events, too few for any TPE trial of ``sampen_optimized``."""
+    import warnings
+
+    from eristropy_ray.pipelines.entropy import OptimizationFailureWarning
+    from eristropy_ray.pipelines.queries import QUERIES
+    from tools.check_oracle import to_pandas
+
+    sf = _degenerate(Path(sf_tiny), tmp_path / kind, kind)
+    n_obs = pq.read_table(f"{sf}/events.parquet").to_pandas()["user_id"].value_counts()
+    for name, (columns, min_obs) in SIGNAL_ENTRIES.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = to_pandas(QUERIES[name](sf))
+        if min_obs is not None:
+            assert len(got) == (n_obs >= min_obs).sum(), name
+        # Ray's to_pandas drops zero-row blocks and their columns
+        if not (got.empty and got.columns.empty):
+            assert list(got.columns) == columns, name
+        if name == "sampen_optimized" and kind != "one_user":
+            assert got[["sampen", "se_sampen"]].isna().all(axis=None), kind
+        if name == "sampen_optimized" and kind == "short":
+            assert any(w.category is OptimizationFailureWarning for w in caught)

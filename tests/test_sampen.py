@@ -83,6 +83,20 @@ def test_no_match_nan():
     assert math.isnan(sampen(x, 2, 1e-9))
 
 
+@pytest.mark.parametrize("r", [0.0, -0.5])
+def test_non_positive_radius_is_nan(r):
+    """Under the strict ``<`` no pair matches when r <= 0, on every path:
+    the matrix path's all-True-diagonal correction must not apply."""
+    from eristropy_ray.kernels.batch_entropy import sampen_ragged
+
+    x = np.tile([3.0, 9.0, 9.0, 3.0], 10)
+    assert math.isnan(sampen(x, 2, r))
+    assert math.isnan(_sampen_matrix(x, 2, r))
+    assert math.isnan(_sampen_offset(x, 2, r))
+    got = sampen_ragged(x, np.array([0, 20, 40]), 2, np.array([r, r]))
+    assert np.isnan(got).all()
+
+
 def test_nan_input_returns_nan():
     # NaN signals are rejected at the validation boundary; the kernel
     # must return NaN (both paths consistently), never raise from the
