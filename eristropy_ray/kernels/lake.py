@@ -172,9 +172,12 @@ def bootstrap_objective(
     seed: int = 0,
     key: tuple[int, ...] = (),
 ) -> float:
-    """Bootstrap efficiency score max(SE, SE/SampEn) (extras.py:210-219)."""
+    """Bootstrap efficiency score max(SE, SE/SampEn) (extras.py:210-219).
+    SampEn 0 (every template matches) scores SE/SampEn as 0, as
+    ``counting_objective`` does at CP == 1."""
     se = sampen_bootstrap_se(x, m, r, p, n_boot, seed=seed, key=key)
-    return max(se, se / sampen(x, m, r))
+    s = sampen(x, m, r)
+    return max(se, se / s if s != 0 else 0.0)
 
 
 def sampen_and_analytic_se(x: np.ndarray, m: int, r: float) -> tuple[float, float]:

@@ -3,7 +3,8 @@ a one-pass numpy group-by bit for bit however rows are batched,
 ``exchange`` hands each key's rows to one call without ``part``, and the
 registry entries built on them match their DuckDB twins on degenerate
 tables (zero rows, one row, one user); the rows-only per-signal entries
-return typed results on the same tables and on ~17-event users."""
+return typed results on the same tables and on ~17-event users, and so
+do the bucketed near-dup entries and ``similarity_topk`` on empty ones."""
 
 from __future__ import annotations
 
@@ -192,21 +193,28 @@ def _degenerate(src: Path, dst: Path, kind: str) -> str:
     return str(dst)
 
 
-@pytest.mark.parametrize("kind", ["zero", "one", "one_user"])
-def test_migrated_entries_match_oracle_on_degenerate_tables(
-    ray_session, sf_tiny, tmp_path, kind
-):
+def _oracle_views(sf: str):
     import duckdb
 
-    from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
-    from tools.check_oracle import TABLES, compare, to_pandas
+    from tools.check_oracle import TABLES
 
-    sf = _degenerate(Path(sf_tiny), tmp_path / kind, kind)
     con = duckdb.connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
         )
+    return con
+
+
+@pytest.mark.parametrize("kind", ["zero", "one", "one_user"])
+def test_migrated_entries_match_oracle_on_degenerate_tables(
+    ray_session, sf_tiny, tmp_path, kind
+):
+    from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
+    from tools.check_oracle import compare, to_pandas
+
+    sf = _degenerate(Path(sf_tiny), tmp_path / kind, kind)
+    con = _oracle_views(sf)
     bad = {}
     for name in MIGRATED:
         if (kind, name) in SKIP:
@@ -264,3 +272,53 @@ def test_signal_entries_are_typed_on_degenerate_tables(
             assert got[["sampen", "se_sampen"]].isna().all(axis=None), kind
         if name == "sampen_optimized" and kind == "short":
             assert any(w.category is OptimizationFailureWarning for w in caught)
+
+
+@pytest.mark.parametrize("kind", ["zero", "one"])
+def test_neardup_pairs_are_typed_on_degenerate_tables(
+    ray_session, sf_tiny, tmp_path, kind
+):
+    """Zero or one document gives no pair, and the bucketed near-dup
+    entries still return their typed columns."""
+    from eristropy_ray.pipelines.queries import QUERIES
+
+    sf = _degenerate(Path(sf_tiny), tmp_path / kind, kind)
+    want = {
+        "simhash_neardup": {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"},
+        "minhash_neardup": {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
+    }
+    for name, dtypes in want.items():
+        got = QUERIES[name](sf)
+        assert len(got) == 0, name
+        assert {c: str(t) for c, t in got.dtypes.items()} == dtypes, name
+
+
+def test_similarity_topk_matches_oracle_on_zero_rows(ray_session, sf_tiny, tmp_path):
+    from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
+    from tools.check_oracle import compare, to_pandas
+
+    sf = _degenerate(Path(sf_tiny), tmp_path / "zero", "zero")
+    got = to_pandas(QUERIES["similarity_topk"](sf))
+    want = _oracle_views(sf).execute(ORACLE_SQL["similarity_topk"]).df()
+    assert compare("similarity_topk", got, want) == "OK"
+
+
+def test_collect_pairs_sums_logs_and_drops_over_cap_rows(ray_session, caplog):
+    import ray.data as rd
+
+    from eristropy_ray.pipelines.queries import _collect_pairs
+
+    pairs = rd.from_pandas(
+        pd.DataFrame(
+            {
+                "doc_a": [-1, 1, 1, -1, 2],
+                "doc_b": [2, 5, 5, 3, 7],
+                "hamming": [-1, 1, 1, -1, 0],
+            }
+        )
+    )
+    dtypes = {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"}
+    with caplog.at_level("WARNING"):
+        got = _collect_pairs(pairs, "neardup: %d buckets", 9, dtypes)
+    assert sorted(got.values.tolist()) == [[1, 5, 1], [2, 7, 0]]
+    assert "neardup: 5 buckets exceeded cap=9 docs" in caplog.text

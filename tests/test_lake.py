@@ -65,3 +65,13 @@ def test_bootstrap_objective_positive_and_deterministic(rng):
     a = bootstrap_objective(x, 2, 0.5, n_boot=20, seed=5, key=(1,))
     b = bootstrap_objective(x, 2, 0.5, n_boot=20, seed=5, key=(1,))
     assert a == b and a > 0
+
+
+def test_bootstrap_objective_at_zero_sampen():
+    """Every template matches, so SampEn is 0: the SE/SampEn term is 0,
+    as ``counting_objective`` scores CP == 1."""
+    x = np.tile([0.0, 1.0], 30)
+    assert sampen(x, 2, 0.5) == 0.0
+    assert counting_objective(x, 2, 0.5) == 0.0
+    se = bootstrap_objective(x, 2, 0.5, n_boot=20, seed=5)
+    assert se == max(se, 0.0) and math.isfinite(se)
