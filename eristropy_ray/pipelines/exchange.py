@@ -1,4 +1,5 @@
-"""The one keyed exchange behind every hash-partitioned plan.
+"""The aggregation layer of the query registry: keyed exchanges,
+group-bys and whole-table folds.
 
 ``groupby(k).map_groups`` calls its UDF once per distinct key, which
 costs Python overhead per group. Plans here instead hash the key into
@@ -16,14 +17,22 @@ keys, vectorizing inside. This module owns that pattern:
   per partition on rows without ``part``. Every row of a key lands in
   one call, so ``fn`` must only combine rows of the same key.
 - ``keyed_combine(ds, keys, aggs, finish)``: a group-by aggregate made
-  of sorted-segment partials per batch, one exchange on ``keys[0]``,
-  and the same segment reduce over each partition's partials. Every
-  merge is order-insensitive (int64 sums and counts, min and max), so
-  the result does not depend on how rows were batched or partitioned —
-  up to the sign of a zero: ``np.minimum(0.0, -0.0)`` keeps the second.
-  It replaces ``groupby(keys).aggregate`` for pre-collapsed partials:
-  Ray's sort-based Aggregate has per-block fixed costs that dwarf
-  small partial tables (2.8x on ``rollup_1h``).
+  of Arrow hash group-by partials per batch, one exchange on
+  ``keys[0]``, and the same group-by over each partition's partials. A
+  null key is one group, as in SQL ``GROUP BY``. Every merge is
+  order-insensitive (int64 sums and counts, min and max), so the result
+  does not depend on how rows were batched or partitioned. Float min
+  and max skip NaN (numpy's would propagate it): a group whose values
+  are all NaN gets the identity, +inf for min and -inf for max. With
+  ``fold_by`` (below) it replaces Ray's ``groupby(keys).aggregate``:
+  Ray's sort-based Aggregate has per-block fixed costs that dwarf small
+  partial tables (2.8x on ``rollup_1h``).
+- ``fold(ds, partial, combine)``: a whole-table reduce to one table,
+  for mergeable summaries that have no key (Bloom bits, Misra-Gries
+  counters): a partial per batch, one combine per task over its
+  partials, then one final combine on the driver. ``fold_by`` is the
+  group-by of a bounded key domain as such a fold: it skips the
+  exchange, whose operators cost more than a small result saves.
 """
 
 from __future__ import annotations
@@ -38,7 +47,6 @@ import ray.data as rd
 
 _NPARTS = 32  # exchange fan-out (2x CPU at test scale)
 _KNUTH = np.uint64(2654435761)
-_REDUCE = {"sum": np.add, "count": np.add, "min": np.minimum, "max": np.maximum}
 
 
 def partition_of(
@@ -103,21 +111,24 @@ def segment_reduce(
     """One row per distinct ``keys`` tuple, keys first, then ``aggs`` in
     order. ``aggs`` maps an output column to ``sum``, ``min`` or ``max``
     of the same-named input column, or to ``count``: the number of rows
-    when ``partial``, else the sum of earlier counts. A zero-row table
-    gives a zero-row result of the same schema."""
-    n = tbl.num_rows
-    kv = [tbl[k].to_numpy(zero_copy_only=False) for k in keys]
-    order = np.lexsort(kv[::-1])
-    kv = [v[order] for v in kv]
-    starts = segment_starts(*kv)
-    schema = tbl.schema
-    cols = {k: pa.array(v[starts], schema.field(k).type) for k, v in zip(keys, kv)}
-    for name, op in aggs.items():
-        if op == "count" and partial:
-            cols[name] = pa.array(np.diff(np.append(starts, n)), pa.int64())
-            continue
-        v = tbl[name].to_numpy(zero_copy_only=False)[order]
-        cols[name] = pa.array(_REDUCE[op].reduceat(v, starts), schema.field(name).type)
+    when ``partial``, else the sum of earlier counts. Each column keeps
+    its input type, and a zero-row table gives a zero-row result of the
+    same schema."""
+    spec = [
+        ([], "count_all") if op == "count" and partial
+        else (name, "sum" if op == "count" else op)
+        for name, op in aggs.items()
+    ]
+    # Arrow 16's grouper splits groups when a variable-width key precedes
+    # a fixed-width one and either holds nulls: group fixed-width first
+    by = sorted(keys, key=lambda k: not pa.types.is_primitive(tbl[k].type))
+    out = tbl.group_by(by, use_threads=False).aggregate(spec)
+    cols = {k: out[k] for k in keys}
+    for name, (col, op) in zip(aggs, spec):
+        if op == "count_all":
+            cols[name] = out[op]
+        else:
+            cols[name] = out[f"{col}_{op}"].cast(tbl.schema.field(name).type)
     return pa.table(cols)
 
 
@@ -140,3 +151,44 @@ def keyed_combine(
 
     partials = ds.map_batches(partial, batch_format="pyarrow")
     return exchange(partials, keys[0], keyed_merge, "pyarrow")
+
+
+def fold(
+    ds: rd.Dataset,
+    partial: Callable[[pa.Table], pa.Table],
+    combine: Callable[[list[pa.Table]], pa.Table],
+) -> pa.Table:
+    """Whole-table reduce of ``ds`` to one table: ``partial`` per batch,
+    ``combine`` over each task's partials, then one ``combine`` over
+    those on the driver. ``combine`` merges a list of partial tables
+    and must be order-insensitive; ``combine([])`` is its typed
+    identity, which a zero-row ``ds`` folds to."""
+
+    def task_combine(t: pa.Table) -> pa.Table:
+        return combine([t])
+
+    task_combine.__name__ = f"{getattr(combine, '__name__', 'fold')}_task"
+    combined = ds.map_batches(partial, batch_format="pyarrow").map_batches(
+        task_combine, batch_format="pyarrow", batch_size=None
+    )
+    parts = combined.iter_batches(batch_size=None, batch_format="pyarrow")
+    return combine(list(parts))
+
+
+def fold_by(
+    ds: rd.Dataset, keys: list[str], aggs: dict[str, str], schema: pa.Schema
+) -> pa.Table:
+    """Group-by of a bounded key domain (event types, languages, lengths)
+    gathered to the driver: a ``fold`` of ``segment_reduce`` partials,
+    with no exchange. ``schema`` is the result's (keys, then ``aggs``),
+    which a zero-row ``ds`` gives empty."""
+
+    def partial(b: pa.Table) -> pa.Table:
+        return segment_reduce(b, keys, aggs, partial=True)
+
+    def combine(parts: list[pa.Table]) -> pa.Table:
+        if not parts:
+            return schema.empty_table()
+        return segment_reduce(pa.concat_tables(parts), keys, aggs, partial=False)
+
+    return fold(ds, partial, combine)

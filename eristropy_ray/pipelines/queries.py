@@ -22,11 +22,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data as rd
-from ray.data.aggregate import Count, Max, Min, Sum
 
 from eristropy_ray.config import EncodeConfig, RollupConfig
 from eristropy_ray.pipelines.exchange import (
     exchange,
+    fold,
+    fold_by,
     keyed_combine,
     partition_of,
     segment_rank,
@@ -155,46 +156,37 @@ def q_doc_len_quantiles(
 
     The 100 TB shape for percentile cutoffs (quality filters pick "drop
     below P5 / above P99 length" thresholds): each batch collapses to
-    (length, count) partial rows — the exchange is value-domain-sized
-    (distinct lengths × blocks), independent of corpus row count — one
-    small groupby sums them, and the driver finish interpolates on the
+    (length, count) partial rows — the fold carries value-domain-sized
+    tables (distinct lengths × tasks), independent of corpus row count —
+    a ``fold_by`` sums them, and the driver finish interpolates on the
     cumulative histogram (value-domain-sized, the same legal
     small-result pinch as the other sketch finishes, but EXACT: integer
     value domains need no GK/t-digest approximation). Interpolation
     mirrors DuckDB's quantile_cont bit-for-bit (convex combination
-    lo*(1-f) + hi*f at h=(n-1)*q, fuzz-pinned in tests)."""
+    lo*(1-f) + hi*f at h=(n-1)*q, fuzz-pinned in tests). An empty corpus
+    gives NaN at every q, as quantile_cont's NULL."""
     ds = _read(f"{sf_dir}/documents.parquet", columns=["text"])
 
-    def partial(b: pa.Table) -> pa.Table:
+    def lengths(b: pa.Table) -> pa.Table:
         # utf8_length == pandas str.len == DuckDB LENGTH (codepoints)
-        lens = pc.cast(pc.utf8_length(b["text"]), pa.int64()).to_numpy(
-            zero_copy_only=False
-        )
-        u, c = np.unique(lens, return_counts=True)
-        return pa.table(
-            {"len": pa.array(u, pa.int64()), "cnt": pa.array(c, pa.int64())}
-        )
+        return pa.table({"len": pc.cast(pc.utf8_length(b["text"]), pa.int64())})
 
-    hist = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("len")
-        .sum("cnt")
-        .to_pandas()
-    )
-    cnt_col = "sum(cnt)" if "sum(cnt)" in hist.columns else "cnt"
-    hist = hist.sort_values("len").reset_index(drop=True)
-    lens = hist["len"].to_numpy(dtype=np.float64)
-    cum = hist[cnt_col].to_numpy(dtype=np.int64).cumsum()
-    n = int(cum[-1]) if len(cum) else 0
-    out = {"q": [], "value": []}
-    for q in qs:
-        h = (n - 1) * q
-        i = int(np.floor(h))
-        f = h - i
-        lo = lens[np.searchsorted(cum, i, side="right")]
-        hi = lens[np.searchsorted(cum, min(i + 1, n - 1), side="right")]
-        out["q"].append(float(q))
-        out["value"].append(lo * (1.0 - f) + hi * f)
+    hist = fold_by(
+        ds.map_batches(lengths, batch_format="pyarrow"), ["len"], {"cnt": "count"},
+        pa.schema([("len", pa.int64()), ("cnt", pa.int64())]),
+    ).sort_by("len")
+    out = {"q": [float(q) for q in qs], "value": [np.nan] * len(qs)}
+    if hist.num_rows:
+        lens = hist["len"].to_numpy().astype(np.float64)
+        cum = hist["cnt"].to_numpy().cumsum()
+        n = int(cum[-1])
+        for j, q in enumerate(qs):
+            h = (n - 1) * q
+            i = int(np.floor(h))
+            f = h - i
+            lo = lens[np.searchsorted(cum, i, side="right")]
+            hi = lens[np.searchsorted(cum, min(i + 1, n - 1), side="right")]
+            out["value"][j] = lo * (1.0 - f) + hi * f
     return pd.DataFrame(out).astype({"q": "float64", "value": "float64"})
 
 
@@ -269,9 +261,10 @@ def q_rollup_1d(sf_dir: str):
 
 
 def q_doc_counts_by_lang(sf_dir: str):
-    """Document counts per language label (single pruned-column groupby)."""
+    """Document counts per language label (one pruned-column ``fold_by``)."""
     ds = _read(f"{sf_dir}/documents.parquet", columns=["lang"])
-    return ds.groupby("lang").aggregate(Count(alias_name="n_docs"))
+    schema = pa.schema([("lang", pa.string()), ("n_docs", pa.int64())])
+    return fold_by(ds, ["lang"], {"n_docs": "count"}, schema).to_pandas()
 
 
 def q_dedup_exact(sf_dir: str):
@@ -390,13 +383,26 @@ def q_quality_scores(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
+def _first_ids(sf_dir: str, k: int) -> pd.DataFrame:
+    """The ``k`` smallest vec_ids with a NaN sim (typed when empty)."""
+
+    def smallest(parts: list[pa.Table]) -> pa.Table:
+        ids = np.concatenate([np.empty(0, np.int64), *(t["vec_id"] for t in parts)])
+        return pa.table({"vec_id": pa.array(np.sort(ids)[:k], pa.int64())})
+
+    ds = _read(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
+    ids = fold(ds, lambda b: smallest([b]), smallest)["vec_id"]
+    return pd.DataFrame({"vec_id": ids.to_numpy(), "sim": np.nan})
+
+
 def q_similarity_topk(sf_dir: str, k: int = 10):
     """Brute-force cosine top-k vs the vec_id=0 embedding (broadcast).
 
     The broadcast side is the SINGLE query vector (the correct
     small-side pattern); the row is fetched with a predicate-pushdown
     read so only the row groups whose vec_id range covers 0 leave
-    storage — no full-corpus driver read."""
+    storage — no full-corpus driver read. Without that row every cosine
+    is NULL, as in the SQL twin: the first ``k`` ids with a NaN sim."""
     import pyarrow.parquet as pq
     import ray
 
@@ -406,11 +412,7 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
         filters=[("vec_id", "==", 0)],
     )
     if len(tbl) == 0:
-        if _parquet_rows(f"{sf_dir}/embeddings.parquet") == 0:
-            return pd.DataFrame(
-                {"vec_id": pd.Series(dtype="int64"), "sim": pd.Series(dtype="float64")}
-            )
-        raise ValueError("similarity_topk: no row with vec_id=0 in embeddings")
+        return _first_ids(sf_dir, k)
     qvec = np.asarray(tbl["embedding"][0].as_py(), dtype=np.float64)
     qref = ray.put(qvec / max(np.sqrt((qvec * qvec).sum()), 1e-30))
 
@@ -874,34 +876,32 @@ def q_doc_chunks(sf_dir: str, max_tokens: int = 128, stride: int = 96):
     return ds.map_batches(explode, batch_format="pyarrow")
 
 
-def q_seq_pack(sf_dir: str, capacity: int = 256, n_parts: int = 32):
+def q_seq_pack(sf_dir: str, capacity: int = 256):
     """Sequence packing (rows-only): assign every document to a
     fixed-token-capacity training sequence — the step after chunking
     that fills model context windows before tokenization.
 
     Plan: one Arrow map_batches computes per-doc token counts (same
-    C-speed regex count as ``token_counts``) and a multiplicative-hash
-    partition key; one hash shuffle colocates each partition; inside a
-    partition docs are walked in doc_id order and packed greedily
+    C-speed regex count as ``token_counts``); one ``exchange`` on doc_id
+    colocates each partition; inside a partition docs are walked in
+    doc_id order and packed greedily
     (``greedy_pack_tokens`` — the scan loop runs per OUTPUT sequence,
     not per doc). Sequences never span partitions, so the shuffle is the
     only exchange and partitions pack independently — at 100 TB each
     partition's loop count is its token budget / capacity. A doc longer
     than ``capacity`` gets its own overflowing sequence (callers chunk
     first via ``doc_chunks`` if they need hard caps). Output one row per
-    doc: (part, seq_id, seq_offset, doc_id, n_tokens); (part, seq_id)
-    is the globally unique sequence key. Deterministic for a fixed
-    ``n_parts``."""
+    doc: (part, seq_id, seq_offset, doc_id, n_tokens), where ``part`` is
+    ``partition_of(doc_id)``; (part, seq_id) is the globally unique
+    sequence key. Deterministic."""
     from eristropy_ray.datapipe.textstats import greedy_pack_tokens
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     def tag(b: pa.Table) -> pa.Table:
-        ids = pc.cast(b["doc_id"], pa.int64())
         return pa.table(
             {
-                "part": pa.array(partition_of(ids, n_parts), pa.int64()),
-                "doc_id": ids,
+                "doc_id": pc.cast(b["doc_id"], pa.int64()),
                 "n_tokens": pc.cast(
                     pc.count_substring_regex(b["text"], pattern=_WS_TOKEN_PAT),
                     pa.int64(),
@@ -909,15 +909,15 @@ def q_seq_pack(sf_dir: str, capacity: int = 256, n_parts: int = 32):
             }
         )
 
-    def pack_partition(df: pd.DataFrame) -> pd.DataFrame:
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        ntok = df["n_tokens"].to_numpy(dtype=np.int64)
+    def pack_partition(t: pa.Table) -> pa.Table:
+        ids = t["doc_id"].to_numpy()
+        ntok = t["n_tokens"].to_numpy()
         order = np.argsort(ids, kind="stable")
         ids, ntok = ids[order], ntok[order]
         seq, off = greedy_pack_tokens(ntok, capacity)
-        return pd.DataFrame(
+        return pa.table(
             {
-                "part": df["part"].to_numpy(dtype=np.int64)[order],
+                "part": partition_of(pa.array(ids)),
                 "seq_id": seq,
                 "seq_offset": off,
                 "doc_id": ids,
@@ -925,11 +925,9 @@ def q_seq_pack(sf_dir: str, capacity: int = 256, n_parts: int = 32):
             }
         )
 
-    pack_partition.__name__ = "seq_pack_partition"
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pack_partition, batch_format="pandas")
+    return exchange(
+        ds.map_batches(tag, batch_format="pyarrow"), "doc_id", pack_partition,
+        "pyarrow",
     )
 
 
@@ -1637,7 +1635,7 @@ def q_ngram_jaccard(sf_dir: str, tau: float = 0.5, k: int = 3):
         return np.unique(rolling_kgram_hashes(t, k))
 
     gram_sets = [grams(t) for t in texts]
-    vocab = np.unique(np.concatenate(gram_sets))
+    vocab = np.unique(np.concatenate([np.empty(0, np.uint64), *gram_sets]))
     nbytes = (vocab.size + 7) // 8
     bits = np.zeros((ids.size, nbytes), dtype=np.uint8)
     for i, g in enumerate(gram_sets):
@@ -1709,30 +1707,15 @@ def q_vocab_topk(sf_dir: str, k: int = 50):
             }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby("word").aggregate(Sum("n", alias_name="n"))
-
-    # per-block top-k then a tiny final sort: each word's total is
-    # complete within one aggregate block (groupby co-locates keys), so
-    # top-k of per-block top-ks is exact — no all-to-all sort of the
+    # each word's total is complete within one combine partition, so
+    # top-k of per-partition top-ks is exact — no all-to-all sort of the
     # full vocabulary (word cardinality is corpus-scale at 100 TB)
-    def block_topk(df: pd.DataFrame) -> pd.DataFrame:
-        return df.sort_values(
-            ["n", "word"], ascending=[False, True], kind="stable"
-        ).head(k)
+    def partition_topk(t: pa.Table) -> pa.Table:
+        return t.sort_by([("n", "descending"), ("word", "ascending")]).slice(0, k)
 
-    top = (
-        agg.map_batches(block_topk, batch_format="pandas")
-        .sort(["n", "word"], descending=[True, False])
-        .limit(k)
-    )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {"word": b["word"], "n": pc.cast(b["n"], pa.int64())}
-        )
-
-    return top.map_batches(finalize, batch_format="pyarrow")
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    counts = keyed_combine(partials, ["word"], {"n": "sum"}, partition_topk)
+    return counts.sort(["n", "word"], descending=[True, False]).limit(k)
 
 
 def _uid_key(t: pa.Table) -> np.ndarray:
@@ -1744,11 +1727,10 @@ def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
     per batch: the OR-mergeable m/8-byte Bloom bits (fixed size) and the
     union-mergeable DISTINCT purchaser key set (key-dimension-sized — it
     grows with distinct keys, not with the event stream, and is the
-    explicit scale bound of the exact-verify side). Two-level in-Ray
-    fold: per-batch summary rows combine inside worker tasks
-    (64 rows -> 1), then one final task folds the few survivors — the
-    driver receives exactly ONE summary row, never a per-batch stream
-    (OR / set-union monoids make any fold tree equivalent). Returns a
+    explicit scale bound of the exact-verify side), reduced by
+    ``exchange.fold``: per-batch summary rows combine inside each task,
+    then once on the driver (OR / set-union monoids make any fold tree
+    equivalent; no purchase folds to empty bits and keys). Returns a
     shared object ref to ``(bloom_bits, sorted_exact_keys)`` — broadcast
     once via ``ray.put``, read by every probe task. ``key_of`` maps the
     purchase-filtered batch to its int64 join key (plain user id for the
@@ -1769,34 +1751,25 @@ def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
             }
         )
 
-    def combine(b: pa.Table) -> pa.Table:
+    def combine(parts: list[pa.Table]) -> pa.Table:
         acc = np.zeros(m_bits // 8, dtype=np.uint8)
-        id_parts = []
-        for payload in b["bits"].to_pylist():
-            np.bitwise_or(acc, np.frombuffer(payload, dtype=np.uint8), out=acc)
-        for payload in b["ids"].to_pylist():
-            id_parts.append(np.frombuffer(payload, dtype=np.int64))
-        ids = (
-            np.unique(np.concatenate(id_parts))
-            if id_parts
-            else np.empty(0, np.int64)
-        )
+        ids = [np.empty(0, np.int64)]
+        for t in parts:
+            for payload in t["bits"].to_pylist():
+                np.bitwise_or(acc, np.frombuffer(payload, dtype=np.uint8), out=acc)
+            ids += [np.frombuffer(p, dtype=np.int64) for p in t["ids"].to_pylist()]
         return pa.table(
             {
                 "bits": pa.array([acc.tobytes()], pa.binary()),
-                "ids": pa.array([ids.tobytes()], pa.binary()),
+                "ids": pa.array(
+                    [np.unique(np.concatenate(ids)).tobytes()], pa.binary()
+                ),
             }
         )
 
-    folded = (
-        ev.map_batches(build_partial, batch_format="pyarrow")
-        .map_batches(combine, batch_format="pyarrow", batch_size=64)
-        .repartition(1)
-        .map_batches(combine, batch_format="pyarrow", batch_size=None)
-        .take_all()
-    )
-    merged = np.frombuffer(folded[0]["bits"], dtype=np.uint8).copy()
-    exact_ids = np.frombuffer(folded[0]["ids"], dtype=np.int64).copy()
+    folded = fold(ev, build_partial, combine)
+    merged = np.frombuffer(folded["bits"][0].as_py(), dtype=np.uint8).copy()
+    exact_ids = np.frombuffer(folded["ids"][0].as_py(), dtype=np.int64).copy()
     return ray.put((merged, exact_ids))
 
 
@@ -1914,20 +1887,19 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
     """Approximate heavy hitters (frequent words) via mergeable
     Misra-Gries summaries — the sketch counterpart to the exact
     ``vocab_topk``: each batch collapses to at most ``k_summary``
-    (word, estimate) rows BEFORE the shuffle, so the exchange is
-    O(batches x k), independent of corpus size (at 100 TB the exact
+    (word, estimate) rows, and ``exchange.fold`` merges those summaries
+    within each task and once on the driver, so no step holds more than
+    O(tasks x k) rows, independent of corpus size (at 100 TB the exact
     wordcount's (word, count) exchange is vocabulary-sized; this one is
-    constant per batch). Estimates undercount by at most
+    constant per task). Estimates undercount by at most
     n_total/k_summary (mergeability bound, Agarwal et al. PODS'12) —
     pinned against exact counts in tests/test_datapipe.py. Oracle-backed
     since round 5: when the corpus vocabulary fits k_summary (true of
     the test corpus: 31 words << 256) MG never evicts, estimates equal
     exact counts, and the SQL twin checks the entire distributed plan."""
-    from eristropy_ray.datapipe.sketch import mg_merge, mg_summary, sample_key64
+    from eristropy_ray.datapipe.sketch import mg_merge
 
-    ds = _read(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    ds = _read(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(b: pa.Table) -> pa.Table:
         # Arrow-native tokenize + count (same kernels as vocab_topk's
@@ -1937,55 +1909,29 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
         )
         toks = toks.filter(pc.not_equal(toks, ""))
         vc = pc.value_counts(toks)
-        items, counts = mg_summary(
-            vc.field("values").to_numpy(zero_copy_only=False).astype(object),
-            vc.field("counts").to_numpy(zero_copy_only=False),
-            k_summary,
-        )
-        # deterministic fan-in key: the batch's MIN doc_id — unique per
-        # batch even on dup-heavy corpora (keying on leading TEXT would
-        # collapse the fan-in to one merge group when many batches start
-        # with identical boilerplate) — splitmix-mixed, because batch
-        # starts often share their low bits and the partition hash
-        # spreads integers by those bits only
-        first = pc.min(b["doc_id"]).as_py() if b.num_rows else 0
-        batch_key = sample_key64(np.array([first])).view(np.int64)[0]
-        return pa.table(
-            {
-                "word": pa.array(items.astype(str), pa.string()),
-                "est": pa.array(counts, pa.int64()),
-                "batch_key": pa.array(
-                    np.full(items.size, batch_key, dtype=np.int64), pa.int64()
-                ),
-            }
+        return mg_combine(
+            [pa.table({"word": vc.field("values"), "est": vc.field("counts")})]
         )
 
-    def merge_group(df: pd.DataFrame) -> pd.DataFrame:
+    def mg_combine(parts: list[pa.Table]) -> pa.Table:
+        # any MG merge tree preserves the n/k undercount bound, and
+        # each merge emits at most k rows: the driver receives at most
+        # tasks x k rows, bounded regardless of corpus size
         items, counts = mg_merge(
-            [(df["word"].to_numpy(dtype=object),
-              df["est"].to_numpy(dtype=np.int64))],
+            [(np.empty(0, object), np.empty(0, np.int64))]
+            + [(t["word"].to_numpy(zero_copy_only=False).astype(object),
+                t["est"].to_numpy()) for t in parts],
             k_summary,
         )
-        return pd.DataFrame({"word": items.astype(str), "est": counts}).astype(
-            {"est": "int64"}
+        return pa.table(
+            {"word": pa.array(items.astype(str), pa.string()),
+             "est": pa.array(counts, pa.int64())}
         )
 
-    merge_group.__name__ = "mg_merge_group"
-    # tree reduce: batch summaries -> per-partition MG merges (each
-    # emits at most k rows) -> the driver receives <= partitions x k rows
-    # and does the final merge — bounded regardless of corpus size (any
-    # MG merge tree preserves the n/k undercount bound)
-    candidates = exchange(
-        ds.map_batches(partial, batch_format="pyarrow"), "batch_key", merge_group
-    ).to_pandas()
-    if candidates.empty:  # a zero-row result carries no columns
-        candidates = pd.DataFrame({"word": [], "est": []})
-    items, counts = mg_merge(
-        [(candidates["word"].to_numpy(dtype=object),
-          candidates["est"].to_numpy(dtype=np.int64))],
-        k_summary,
-    )
-    order = np.lexsort((items.astype(str), -counts))[:topn]
+    merged = fold(ds, partial, mg_combine)
+    items = merged["word"].to_numpy(zero_copy_only=False).astype(str)
+    counts = merged["est"].to_numpy()
+    order = np.lexsort((items, -counts))[:topn]
     return pd.DataFrame(
         {"word": items[order].astype(str), "est": counts[order]}
     ).astype({"est": "int64"})
@@ -2430,8 +2376,8 @@ def q_distinct_users(sf_dir: str):
     One real shuffle: per-batch pair dedup (combiner), hash-partition by
     user (int key — all of a user's (type, user) pairs co-locate, so the
     partition-local dedup is globally exact), per-partition counts, then
-    a P x n_types-row summing groupby. Avoids sorting the full pair set
-    on a string key twice."""
+    a ``fold_by`` sums the P x n_types rows. Avoids sorting the full pair
+    set on a string key twice."""
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -2440,16 +2386,15 @@ def q_distinct_users(sf_dir: str):
 
     def count_partition(df: pd.DataFrame) -> pd.DataFrame:
         u = df.drop_duplicates(["event_type", "user_id"])
-        g = u.groupby("event_type", sort=True).size().reset_index(name="n_partial")
-        g["n_partial"] = g["n_partial"].astype("int64")
+        g = u.groupby("event_type", sort=True).size().reset_index(name="n_users")
+        g["n_users"] = g["n_users"].astype("int64")
         return g
 
     partials = exchange(
         ds.map_batches(partial, batch_format="pyarrow"), "user_id", count_partition
     )
-    return partials.groupby("event_type").aggregate(
-        Sum("n_partial", alias_name="n_users")
-    )
+    schema = pa.schema([("event_type", pa.string()), ("n_users", pa.int64())])
+    return fold_by(partials, ["event_type"], {"n_users": "sum"}, schema).to_pandas()
 
 
 def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
@@ -2715,7 +2660,8 @@ def q_top_users(sf_dir: str, k: int = 10):
 def q_orders_by_segment(sf_dir: str):
     """Broadcast hash join: orders x customer (small side shipped once via
     ray.put), then exact-decimal revenue per market segment — the A3-style
-    broadcast-join pattern generalized to a dimension lookup."""
+    broadcast-join pattern generalized to a dimension lookup. As in the
+    SQL inner join, an order whose customer is missing is dropped."""
     import pyarrow.parquet as pq
     import ray
 
@@ -2724,55 +2670,49 @@ def q_orders_by_segment(sf_dir: str):
     )
     # broadcast the dim as SORTED flat numpy (keys + dictionary-encoded
     # segment codes): searchsorted lookup inside the partial instead of a
-    # Python dict probe per row, and the object-store payload is three
+    # Python dict probe per row, and the object-store payload is two
     # dense arrays instead of a pickled dict of Python strings.
     keys = cust["c_custkey"].to_numpy()
     seg_names, seg_codes = np.unique(
         cust["c_mktsegment"].to_numpy(zero_copy_only=False), return_inverse=True
     )
     korder = np.argsort(keys, kind="stable")
-    lookup_ref = ray.put(
-        (keys[korder], seg_codes[korder].astype(np.int64),
-         [str(s) for s in seg_names])
-    )
+    lookup_ref = ray.put((keys[korder], seg_codes[korder].astype(np.int64)))
 
     orders = _read(
         f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
     )
 
     def project(batch: pa.Table) -> pa.Table:
-        skeys, scodes, _ = ray.get(lookup_ref)
+        skeys, scodes = ray.get(lookup_ref)
         ck = batch.column("o_custkey").to_numpy()
         price_mu = np.round(batch.column("o_totalprice").to_numpy() * 1e6)
+        pos = np.searchsorted(skeys, ck)
+        hit = pos < skeys.size
+        hit[hit] = skeys[pos[hit]] == ck[hit]
         return pa.table(
             {
-                # FK: every key present
-                "seg": pa.array(scodes[np.searchsorted(skeys, ck)], pa.int64()),
-                "sum_mu": pa.array(price_mu.astype(np.int64), pa.int64()),
+                "seg": pa.array(scodes[pos[hit]], pa.int64()),
+                "sum_mu": pa.array(price_mu[hit].astype(np.int64), pa.int64()),
             }
         )
 
-    def finish(t: pa.Table) -> pa.Table:
-        names = ray.get(lookup_ref)[2]
-        n = t["n_orders"].to_numpy()
-        total = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
-        return pa.table(
-            {
-                "c_mktsegment": pa.array(
-                    [names[c] for c in t["seg"].to_numpy()], pa.string()
-                ),
-                "n_orders": t["n_orders"],
-                "total_price": pa.array(total, pa.float64()),
-                "avg_price": pa.array(total / n, pa.float64()),
-            }
-        )
-
-    # exact int64 group sums: the keyed combine never leaves integers
-    return keyed_combine(
+    # exact int64 group sums: the fold never leaves integers
+    t = fold_by(
         orders.map_batches(project, batch_format="pyarrow"),
         ["seg"],
         {"n_orders": "count", "sum_mu": "sum"},
-        finish,
+        pa.schema([(c, pa.int64()) for c in ("seg", "n_orders", "sum_mu")]),
+    )
+    n = t["n_orders"].to_numpy()
+    total = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+    return pd.DataFrame(
+        {
+            "c_mktsegment": seg_names[t["seg"].to_numpy()].astype(object),
+            "n_orders": n,
+            "total_price": total,
+            "avg_price": total / n,
+        }
     )
 
 
@@ -2791,9 +2731,13 @@ def q_order_segments_join(sf_dir: str):
     # partition count scales with the BIG side (~50k rows/partition,
     # floor 8) from parquet footers — a constant would bottleneck each
     # partition at 1/k of the orders table regardless of cluster size
-    n_parts = max(8, _parquet_rows(f"{sf_dir}/orders.parquet") // 50_000)
+    n_orders = _parquet_rows(f"{sf_dir}/orders.parquet")
+    if n_orders == 0 or _parquet_rows(f"{sf_dir}/customer.parquet") == 0:
+        # Ray's hash join fails on a side with no blocks; the join is empty
+        return pd.DataFrame(columns=["o_orderkey", "c_mktsegment", "o_totalprice"]
+                            ).astype({"o_orderkey": "int64", "o_totalprice": "float64"})
     joined = orders.join(
-        cust, "inner", num_partitions=n_parts,
+        cust, "inner", num_partitions=max(8, n_orders // 50_000),
         on=("o_custkey",), right_on=("c_custkey",),
     )
 
@@ -2894,10 +2838,11 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
 
 
 def q_event_types(sf_dir: str):
-    """Distinct values (set op; ds.unique is the same shuffle — done via
-    groupby for a deterministic, oracle-matched output)."""
+    """Distinct values with their counts (set op; one ``fold_by`` for a
+    deterministic, oracle-matched output)."""
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type"])
-    return ds.groupby("event_type").aggregate(Count(alias_name="n"))
+    schema = pa.schema([("event_type", pa.string()), ("n", pa.int64())])
+    return fold_by(ds, ["event_type"], {"n": "count"}, schema).to_pandas()
 
 
 def q_pricing_summary(sf_dir: str):
@@ -2911,7 +2856,7 @@ def q_pricing_summary(sf_dir: str):
         ],
     )
 
-    def partial(b: pa.Table) -> pa.Table:
+    def project(b: pa.Table) -> pa.Table:
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
         qty_mu = np.round(
@@ -2921,7 +2866,7 @@ def q_pricing_summary(sf_dir: str):
         # disc_price rounded to micro per row BEFORE summing, so the
         # DuckDB DECIMAL(24,6) cast of the identical double matches
         disc_price_mu = np.round(price * (1.0 - disc) * 1e6).astype(np.int64)
-        g = pa.table(
+        return pa.table(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
@@ -2929,52 +2874,27 @@ def q_pricing_summary(sf_dir: str):
                 "price_mu": pa.array(price_mu, pa.int64()),
                 "disc_price_mu": pa.array(disc_price_mu, pa.int64()),
             }
-        ).group_by(["l_returnflag", "l_linestatus"]).aggregate(
-            [
-                ("qty_mu", "count"),
-                ("qty_mu", "sum"),
-                ("price_mu", "sum"),
-                ("disc_price_mu", "sum"),
-            ]
-        )
-        return pa.table(
-            {
-                "l_returnflag": g["l_returnflag"],
-                "l_linestatus": g["l_linestatus"],
-                "n_rows": pc.cast(g["qty_mu_count"], pa.int64()),
-                "qty_mu": g["qty_mu_sum"],
-                "price_mu": g["price_mu_sum"],
-                "disc_price_mu": g["disc_price_mu_sum"],
-            }
         )
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    agg = partials.groupby(["l_returnflag", "l_linestatus"]).aggregate(
-        Sum("n_rows", alias_name="n_rows"),
-        Sum("qty_mu", alias_name="qty_mu"),
-        Sum("price_mu", alias_name="price_mu"),
-        Sum("disc_price_mu", alias_name="disc_price_mu"),
+    t = fold_by(
+        ds.map_batches(project, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {"n_rows": "count", "qty_mu": "sum", "price_mu": "sum",
+         "disc_price_mu": "sum"},
+        pa.schema([("l_returnflag", pa.string()), ("l_linestatus", pa.string())]
+                  + [(c, pa.int64()) for c in
+                     ("n_rows", "qty_mu", "price_mu", "disc_price_mu")]),
     )
-
-    def finalize(b: pa.Table) -> pa.Table:
-        n = b["n_rows"].to_numpy(zero_copy_only=False).astype(np.int64)
-        qty = b["qty_mu"].to_numpy(zero_copy_only=False) / 1e6
-        price = b["price_mu"].to_numpy(zero_copy_only=False) / 1e6
-        disc_price = b["disc_price_mu"].to_numpy(zero_copy_only=False) / 1e6
-        return pa.table(
-            {
-                "l_returnflag": b["l_returnflag"],
-                "l_linestatus": b["l_linestatus"],
-                "n_rows": pa.array(n, pa.int64()),
-                "sum_qty": pa.array(qty, pa.float64()),
-                "sum_base_price": pa.array(price, pa.float64()),
-                "sum_disc_price": pa.array(disc_price, pa.float64()),
-                "avg_qty": pa.array(qty / n, pa.float64()),
-                "avg_price": pa.array(price / n, pa.float64()),
-            }
-        )
-
-    return agg.map_batches(finalize, batch_format="pyarrow")
+    n = t["n_rows"].to_numpy()
+    qty, price, disc_price = (
+        t[c].to_numpy() / 1e6 for c in ("qty_mu", "price_mu", "disc_price_mu")
+    )
+    means = {"sum_qty": qty, "sum_base_price": price, "sum_disc_price": disc_price,
+             "avg_qty": qty / n, "avg_price": price / n}
+    out = t.select(["l_returnflag", "l_linestatus", "n_rows"])
+    for name, v in means.items():
+        out = out.append_column(name, pa.array(v, pa.float64()))
+    return out.to_pandas()
 
 
 def _typed_user_events(sf_dir: str) -> rd.Dataset:

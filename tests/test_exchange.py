@@ -1,10 +1,12 @@
-"""The keyed exchange (``pipelines/exchange.py``): ``keyed_combine`` equals
-a one-pass numpy group-by bit for bit however rows are batched,
-``exchange`` hands each key's rows to one call without ``part``, and the
-registry entries built on them match their DuckDB twins on degenerate
-tables (zero rows, one row, one user); the rows-only per-signal entries
-return typed results on the same tables and on ~17-event users, and so
-do the bucketed near-dup entries and ``similarity_topk`` on empty ones."""
+"""The aggregation layer (``pipelines/exchange.py``): ``keyed_combine``
+and ``fold_by`` equal a one-pass pandas group-by bit for bit however
+rows are batched, null and string keys included, ``exchange`` hands each
+key's rows to one call without ``part``, ``fold`` reduces to one table
+or its identity, and the registry entries built on them match their DuckDB twins on
+degenerate tables (zero rows, one row, one user, one hot user); the
+rows-only per-signal entries return typed results on the same tables and
+on ~17-event users, and so do the bucketed near-dup entries on empty
+ones."""
 
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ import pytest
 
 from eristropy_ray.pipelines.exchange import (
     exchange,
+    fold_by,
     keyed_combine,
     partition_of,
     segment_reduce,
@@ -27,8 +30,8 @@ KEYS = ["k1", "k2"]
 AGGS = {"n": "count", "s": "sum", "lo": "min", "hi": "max"}
 
 
-def _rows(rng, k1: np.ndarray) -> pa.Table:
-    n = k1.size
+def _rows(rng, k1: pa.Array) -> pa.Table:
+    n = len(k1)
     # nonzero values over nine decades: a float sum would be order-
     # sensitive here, min/max must not be (no signed zeros: min(0.0,
     # -0.0) returns whichever operand comes last)
@@ -36,7 +39,7 @@ def _rows(rng, k1: np.ndarray) -> pa.Table:
     v *= 10.0 ** rng.integers(-4, 5, n)
     return pa.table(
         {
-            "k1": pa.array(k1, pa.int64()),
+            "k1": k1,
             "k2": pa.array(rng.integers(0, 3, n), pa.int64()),
             "s": pa.array(rng.integers(-(2**40), 2**40, n), pa.int64()),
             "lo": pa.array(v, pa.float64()),
@@ -46,25 +49,20 @@ def _rows(rng, k1: np.ndarray) -> pa.Table:
 
 
 def _reference(t: pa.Table) -> pd.DataFrame:
-    """One lexsort + reduceat over the whole table."""
-    k1, k2 = t["k1"].to_numpy(), t["k2"].to_numpy()
-    order = np.lexsort((k2, k1))
-    k1, k2 = k1[order], k2[order]
-    st = np.flatnonzero(np.r_[True, (k1[1:] != k1[:-1]) | (k2[1:] != k2[:-1])])
-    return pd.DataFrame(
-        {
-            "k1": k1[st],
-            "k2": k2[st],
-            "n": np.diff(np.r_[st, k1.size]),
-            "s": np.add.reduceat(t["s"].to_numpy()[order], st),
-            "lo": np.minimum.reduceat(t["lo"].to_numpy()[order], st),
-            "hi": np.maximum.reduceat(t["hi"].to_numpy()[order], st),
-        }
-    )
+    """One pandas group-by over the whole table; a null key is one group,
+    as in SQL."""
+    g = t.to_pandas().groupby(KEYS, dropna=False)
+    out = g.agg(
+        n=("s", "size"), s=("s", "sum"), lo=("lo", "min"), hi=("hi", "max")
+    ).reset_index()
+    if out["k1"].dtype == object:  # pandas names the null string key NaN
+        out["k1"] = out["k1"].where(out["k1"].notna(), None)
+    return out
 
 
 def _assert_bits(got: pd.DataFrame, want: pd.DataFrame) -> None:
     got = got.sort_values(KEYS).reset_index(drop=True)
+    want = want.sort_values(KEYS).reset_index(drop=True)
     assert list(got.columns) == list(want.columns)
     for c in want.columns:
         g, w = got[c].to_numpy(), want[c].to_numpy()
@@ -82,21 +80,37 @@ def _batched(rng, t: pa.Table):
     return rd.from_arrow([t.slice(a, b - a) for a, b in zip(bounds[:-1], bounds[1:])])
 
 
-@pytest.mark.parametrize("case", ["many_keys", "single_key", "hot_key"])
+CASES = ["many_keys", "single_key", "hot_key", "null_key", "string_key"]
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_keyed_combine_matches_one_pass_reference(ray_session, case):
-    rng = np.random.default_rng({"many_keys": 1, "single_key": 2, "hot_key": 3}[case])
+    rng = np.random.default_rng(CASES.index(case) + 1)
     n = 3000
     if case == "many_keys":
         k1 = rng.integers(-500, 500, n)
     elif case == "single_key":
         k1 = np.full(n, 7)
-    else:
+    elif case == "hot_key":
         k1 = np.where(rng.random(n) < 0.9, 11, rng.integers(0, 200, n))
-    t = _rows(rng, k1)
+    else:  # a tenth of the keys are null; string keys hash, not multiply
+        k1 = rng.integers(0, 200, n).astype(object)
+        if case == "string_key":
+            k1 = np.array([f"sig-{k}" for k in k1], object)
+        k1[rng.random(n) < 0.1] = None
+    t = _rows(rng, pa.array(k1, pa.string() if case == "string_key" else pa.int64()))
     want = _reference(t)
+    schema = pa.schema(
+        [t.schema.field(k) for k in KEYS]
+        + [(c, pa.int64()) for c in ("n", "s")]
+        + [(c, pa.float64()) for c in ("lo", "hi")]
+    )
     for _ in range(3):  # a different batching each pass
         got = keyed_combine(_batched(rng, t), KEYS, AGGS).to_pandas()
         _assert_bits(got, want)
+        got = fold_by(_batched(rng, t), KEYS, AGGS, schema)
+        assert got.schema == schema
+        _assert_bits(got.to_pandas(), want)
 
 
 def test_keyed_combine_zero_row_batch_and_finish(ray_session):
@@ -106,7 +120,7 @@ def test_keyed_combine_zero_row_batch_and_finish(ray_session):
     import ray.data as rd
 
     rng = np.random.default_rng(4)
-    t = _rows(rng, rng.integers(0, 40, 500))
+    t = _rows(rng, pa.array(rng.integers(0, 40, 500)))
     empty = segment_reduce(t.slice(0, 0), KEYS, AGGS, partial=True)
     full = segment_reduce(t, KEYS, AGGS, partial=True)
     assert empty.num_rows == 0 and empty.schema == full.schema
@@ -125,6 +139,52 @@ def test_keyed_combine_zero_row_batch_and_finish(ray_session):
     want = _reference(t)
     want = want[["k1", "k2", "n"]].assign(mean=want["s"] / want["n"])
     _assert_bits(got, want)
+
+
+def test_segment_reduce_min_max_skip_nan():
+    """Float min and max skip NaN (numpy's would propagate it); a group
+    of only NaN gets the identity, +inf for min and -inf for max."""
+    nan = np.nan
+    t = pa.table(
+        {
+            "k": pa.array([1, 2, 1, 2, 1], pa.int64()),
+            "lo": pa.array([nan, nan, 2.0, nan, -1.0]),
+            "hi": pa.array([nan, nan, 2.0, nan, -1.0]),
+        }
+    )
+    for partial in (True, False):
+        out = segment_reduce(t, ["k"], {"lo": "min", "hi": "max"}, partial)
+        got = dict(zip(out["k"].to_pylist(), zip(out["lo"].to_pylist(),
+                                                 out["hi"].to_pylist())))
+        assert got == {1: (-1.0, 2.0), 2: (np.inf, -np.inf)}
+
+
+def test_fold_reduces_to_one_table_and_empty_to_identity(ray_session):
+    """``fold`` gives one table however rows are batched, and a zero-row
+    input gives ``combine([])``; ``fold_by`` gives its typed empty result."""
+    import pyarrow.compute as pc
+    import ray.data as rd
+
+    from eristropy_ray.pipelines.exchange import fold
+
+    def _total(col) -> int:
+        return pc.sum(col).as_py() or 0
+
+    def partial(b: pa.Table) -> pa.Table:
+        return pa.table({"n": [b.num_rows], "s": [_total(b["x"])]})
+
+    def combine(parts: list[pa.Table]) -> pa.Table:
+        n = sum(_total(t["n"]) for t in parts)
+        return pa.table({"n": [n], "s": [sum(_total(t["s"]) for t in parts)]})
+
+    rng = np.random.default_rng(6)
+    t = pa.table({"x": pa.array(rng.integers(0, 1000, 5000), pa.int64())})
+    got = fold(_batched(rng, t), partial, combine)
+    assert got.to_pylist() == [{"n": 5000, "s": _total(t["x"])}]
+    empty = rd.from_arrow(t.slice(0, 0))
+    assert fold(empty, partial, combine).to_pylist() == [{"n": 0, "s": 0}]
+    schema = pa.schema([("x", pa.int64()), ("n", pa.int64())])
+    assert fold_by(empty, ["x"], {"n": "count"}, schema) == schema.empty_table()
 
 
 @pytest.mark.parametrize("kind", ["int", "str"])
@@ -157,23 +217,6 @@ def test_partition_of_integer_hash_is_knuth_uint64():
     assert s[0] == s[2] and s.dtype == np.int64
 
 
-# registry entries with a DuckDB twin whose plans run on exchange /
-# keyed_combine, plus the bucketed rollup's stats face
-MIGRATED = [
-    "signal_counts", "min_signal_length", "difference", "zscore",
-    "rollup_1h", "rollup_1d", "dedup_exact", "minhash_neardup",
-    "embedding_neardup_ivf", "knn_all", "ann_ivf", "clean_corpus",
-    "hopping_window", "streaming_window", "distinct_users", "group_cap",
-    "top_users", "orders_by_segment", "sessions", "rolling_mean",
-    "running_sum", "topk_per_user", "heavy_hitters", "asof_purchase_click",
-    "clicks_before_purchase", "band_join", "user_value_median",
-    "transcript_rollup_stats", "tier_blocks", "tier_block_sizes",
-]
-# (table kind, entry) pairs left out: one-row orders and customer tables
-# break orders_by_segment's foreign key (every order's customer exists)
-SKIP = {("one", "orders_by_segment")}
-
-
 def _degenerate(src: Path, dst: Path, kind: str) -> str:
     import pyarrow.compute as pc
 
@@ -184,41 +227,49 @@ def _degenerate(src: Path, dst: Path, kind: str) -> str:
             t = t.slice(0, 0)
         elif kind == "one":
             t = t.slice(0, 1)
-        elif f.name == "events.parquet" and kind == "short":
-            user = pa.array(np.arange(t.num_rows, dtype=np.int64) % 60)
-            t = t.set_column(t.schema.get_field_index("user_id"), "user_id", user)
-        elif f.name == "events.parquet":
+        elif f.name == "events.parquet" and kind in ("short", "hot_user"):
+            i = np.arange(t.num_rows, dtype=np.int64)
+            if kind == "short":
+                user = i % 60
+            else:  # nine events in ten go to the first row's user
+                uid = t["user_id"].to_numpy()
+                user = np.where(i % 10 != 0, uid[0], uid)
+            t = t.set_column(
+                t.schema.get_field_index("user_id"), "user_id",
+                pa.array(user, t.schema.field("user_id").type),
+            )
+        elif f.name == "events.parquet" and kind == "one_user":
             t = t.filter(pc.equal(t["user_id"], t["user_id"][0]))
         pq.write_table(t, dst / f.name)
     return str(dst)
 
 
-def _oracle_views(sf: str):
+def _oracle_views(sf: str, tables: list[str] | None = None):
     import duckdb
 
     from tools.check_oracle import TABLES
 
     con = duckdb.connect()
-    for t in TABLES:
+    for t in tables or TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')"
         )
     return con
 
 
-@pytest.mark.parametrize("kind", ["zero", "one", "one_user"])
+@pytest.mark.parametrize("kind", ["zero", "one", "one_user", "hot_user"])
 def test_migrated_entries_match_oracle_on_degenerate_tables(
     ray_session, sf_tiny, tmp_path, kind
 ):
+    """Every oracle entry equals its DuckDB twin on each degenerate table
+    (the name predates the list's growth from the exchange entries)."""
     from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
     from tools.check_oracle import compare, to_pandas
 
     sf = _degenerate(Path(sf_tiny), tmp_path / kind, kind)
     con = _oracle_views(sf)
     bad = {}
-    for name in MIGRATED:
-        if (kind, name) in SKIP:
-            continue
+    for name in ORACLE_SQL:  # every entry with a DuckDB twin
         got = to_pandas(QUERIES[name](sf))
         want = con.execute(ORACLE_SQL[name]).df()
         # Ray's to_pandas drops zero-row blocks, so an empty result
@@ -244,13 +295,14 @@ SIGNAL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("kind", ["zero", "one", "one_user", "short"])
+@pytest.mark.parametrize("kind", ["zero", "one", "one_user", "short", "hot_user"])
 def test_signal_entries_are_typed_on_degenerate_tables(
     ray_session, sf_tiny, tmp_path, kind
 ):
     """No crash and a typed result: the entry's columns, NaN estimates for
     signals too short to have one. "short" gives every one of 60 users
-    ~17 events, too few for any TPE trial of ``sampen_optimized``."""
+    ~17 events, too few for any TPE trial of ``sampen_optimized``;
+    "hot_user" gives one user nine events in ten."""
     import warnings
 
     from eristropy_ray.pipelines.entropy import OptimizationFailureWarning
@@ -268,7 +320,7 @@ def test_signal_entries_are_typed_on_degenerate_tables(
         # Ray's to_pandas drops zero-row blocks and their columns
         if not (got.empty and got.columns.empty):
             assert list(got.columns) == columns, name
-        if name == "sampen_optimized" and kind != "one_user":
+        if name == "sampen_optimized" and kind not in ("one_user", "hot_user"):
             assert got[["sampen", "se_sampen"]].isna().all(axis=None), kind
         if name == "sampen_optimized" and kind == "short":
             assert any(w.category is OptimizationFailureWarning for w in caught)
@@ -300,6 +352,28 @@ def test_similarity_topk_matches_oracle_on_zero_rows(ray_session, sf_tiny, tmp_p
     sf = _degenerate(Path(sf_tiny), tmp_path / "zero", "zero")
     got = to_pandas(QUERIES["similarity_topk"](sf))
     want = _oracle_views(sf).execute(ORACLE_SQL["similarity_topk"]).df()
+    assert compare("similarity_topk", got, want) == "OK"
+
+
+def test_similarity_topk_without_query_row_matches_oracle(
+    ray_session, sf_tiny, tmp_path
+):
+    """No ``vec_id = 0`` row makes every cosine NULL in the SQL twin: the
+    first ten ids with a NaN sim."""
+    import pyarrow.compute as pc
+
+    from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
+    from tools.check_oracle import compare, to_pandas
+
+    sf = tmp_path / "no_query"
+    sf.mkdir()
+    t = pq.read_table(f"{sf_tiny}/embeddings.parquet")
+    pq.write_table(t.filter(pc.not_equal(t["vec_id"], 0)), sf / "embeddings.parquet")
+    got = to_pandas(QUERIES["similarity_topk"](str(sf)))
+    want = _oracle_views(str(sf), ["embeddings"]).execute(
+        ORACLE_SQL["similarity_topk"]
+    ).df()
+    assert len(got) == 10 and got["sim"].isna().all()
     assert compare("similarity_topk", got, want) == "OK"
 
 

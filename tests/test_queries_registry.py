@@ -102,7 +102,6 @@ def test_event_types_matches_duckdb(ray_session):
     sf = "/root/testdata/sf0.001"
     got = (
         q_event_types(sf)
-        .to_pandas()
         .sort_values("event_type")
         .reset_index(drop=True)
     )
