@@ -21,13 +21,18 @@ int64 first timestamp, int64 first (wrapped) delta when n >= 2.
 
 Rollup bucket timestamps are regular after gap-fill, so almost every
 point costs one bit.
+
+Each point's fields depend only on its own delta-of-delta, so
+``dod_fields`` classifies every point of every block at once and
+``codecs/bits.py::pack_fields`` writes them in one pass; ``dod_encode``
+is the one-block call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from eristropy_ray.codecs.bits import BitReader
+from eristropy_ray.codecs.bits import BitReader, pack_fields
 
 _BUCKETS = (
     (64, 0b10, 2, 7),
@@ -36,7 +41,12 @@ _BUCKETS = (
     (1 << 31, 0b11110, 5, 32),
 )
 _M64 = (1 << 64) - 1
-
+# the buckets as lookup tables, the 64-bit escape as a fifth row
+_HI = np.array([b[0] for b in _BUCKETS], dtype=np.uint64)
+_PREFIX = np.array([b[1] for b in _BUCKETS] + [0b11111], dtype=np.uint64)
+_PLEN = np.array([b[2] for b in _BUCKETS] + [5])
+_VBITS = np.array([b[3] for b in _BUCKETS] + [64])
+_OFFSET = np.array([b[0] - 1 for b in _BUCKETS] + [0])  # D is stored + hi - 1
 
 def _to_signed(u: int) -> int:
     return u - (1 << 64) if u >= (1 << 63) else u
@@ -44,40 +54,45 @@ def _to_signed(u: int) -> int:
 
 def dod_encode(ts: np.ndarray) -> bytes:
     t = np.ascontiguousarray(ts, dtype=np.int64)
-    n = t.size
-    header = n.to_bytes(4, "big")
-    if n == 0:
-        return header
-    header += int(t[0]).to_bytes(8, "big", signed=True)
-    if n == 1:
-        return header
-    u = t.view(np.uint64)
-    deltas = np.subtract(u[1:], u[:-1])  # uint64 wraparound
-    header += int(deltas[0] & np.uint64(_M64)).to_bytes(8, "big")
-    # local big-int accumulator == inlined BitWriter (same bytes, no
-    # per-write method call; see codecs/gorilla.py)
-    acc = 0
-    nbits = 0
-    dods = np.subtract(deltas[1:], deltas[:-1])  # wraparound again
-    for dod_u in dods.tolist():
-        dod = _to_signed(dod_u)
-        if dod == 0:
-            acc <<= 1
-            nbits += 1
-            continue
-        for hi, prefix, plen, vbits in _BUCKETS:
-            if -hi < dod <= hi:
-                acc = (acc << plen) | prefix
-                acc = (acc << vbits) | (dod + hi - 1)
-                nbits += plen + vbits
-                break
-        else:
-            acc = (acc << 5) | 0b11111
-            acc = (acc << 64) | dod_u
-            nbits += 69
-    pad = (-nbits) % 8
-    tail = (acc << pad).to_bytes((nbits + pad) // 8, "big") if nbits else b""
-    return header + tail
+    bounds = np.array([0, t.size])
+    data, _ = pack_fields(bounds, *dod_fields(t, bounds))
+    return data.tobytes()
+
+
+def dod_fields(ts: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every point's two fields as uint64 values and uint8 widths of shape
+    (n, 2), for the blocks ``ts[bounds[b]:bounds[b + 1]]``: the first
+    timestamp and the first delta verbatim (64 bits), then each
+    delta-of-delta's bucket prefix and offset value."""
+    u = np.ascontiguousarray(ts, dtype=np.int64).view(np.uint64)
+    n = u.size
+    starts = np.asarray(bounds)[:-1]
+    starts = starts[starts < n]
+    delta = u.copy()
+    np.subtract(u[1:], u[:-1], out=delta[1:])  # uint64 wraparound
+    delta[starts] = u[starts]  # a block's first field
+    dod = delta.copy()
+    np.subtract(delta[1:], delta[:-1], out=dod[1:])
+    sd = dod.view(np.int64)
+    # s lies in (-hi, hi] iff max(s, 1 - s) <= hi
+    b = np.searchsorted(_HI, np.where(sd > 0, dod, np.uint64(1) - dod))
+
+    vals = np.empty((n, 2), dtype=np.uint64)
+    widths = np.empty((n, 2), dtype=np.uint8)
+    vals[:, 0] = _PREFIX[b]
+    widths[:, 0] = _PLEN[b]
+    vals[:, 1] = (sd + _OFFSET[b]).view(np.uint64)
+    widths[:, 1] = _VBITS[b]
+    zero = sd == 0
+    vals[zero] = 0
+    widths[zero] = (1, 0)
+    verbatim = np.zeros(n, dtype=bool)
+    verbatim[starts] = True
+    verbatim[1:] |= verbatim[:-1].copy()
+    vals[verbatim, 0] = delta[verbatim]
+    vals[verbatim, 1] = 0
+    widths[verbatim] = (64, 0)
+    return vals, widths
 
 
 def dod_decode(data: bytes) -> np.ndarray:

@@ -47,22 +47,47 @@ def gapfill_series(
 
 
 def fill_missing(
-    grid: np.ndarray, observed: np.ndarray, b: np.ndarray, v: np.ndarray
+    grid: np.ndarray,
+    observed: np.ndarray,
+    b: np.ndarray,
+    v: np.ndarray,
+    group: np.ndarray | None = None,
 ) -> np.ndarray:
     """Filled values for a dense grid: linear interpolation strictly
     inside the finite-anchor range, NaN outside it (no extrapolation,
     no constant-hold). ONE implementation shared by ``gapfill_series``
     and the block encoder (stages/encode.py) so the two can never
-    diverge bit-wise."""
+    diverge bit-wise.
+
+    ``b`` are the observed buckets (``grid[observed]``) and ``v`` their
+    values. ``group`` (nondecreasing ids per grid point) fills many
+    series' grids in one pass; anchors never reach across groups. Each
+    filled value is ``np.interp``'s expression on the two anchors around
+    it, NaN fallbacks included, so it equals ``np.interp`` bit for bit.
+    """
     filled = np.full(grid.size, np.nan)
     filled[observed] = v
     finite = np.isfinite(v)
-    if int(finite.sum()) >= 2:
-        bf = b[finite]
-        inside = ~observed & (grid >= bf[0]) & (grid <= bf[-1])
-        filled[inside] = np.interp(
-            grid[inside].astype(np.float64),
-            bf.astype(np.float64),
-            v[finite],
-        )
+    at = np.flatnonzero(observed)[finite]  # grid positions of the anchors
+    xp = b[finite].astype(np.float64)
+    fp = v[finite]
+    # the anchors around each grid point: at[j - 1] < i < at[j]
+    j = np.searchsorted(at, np.arange(grid.size))
+    inside = ~observed & (j > 0) & (j < at.size)
+    if group is not None and at.size:
+        lo, hi = at[np.maximum(j - 1, 0)], at[np.minimum(j, at.size - 1)]
+        inside &= (group[lo] == group) & (group[hi] == group)
+    i = np.flatnonzero(inside)
+    hi = j[i]
+    lo = hi - 1
+    x = grid[i].astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = (fp[hi] - fp[lo]) / (xp[hi] - xp[lo])
+        y = slope * (x - xp[lo]) + fp[lo]
+        bad = np.isnan(y)  # "if we get nan in one direction, try the other"
+        if bad.any():
+            y[bad] = (slope * (x - xp[hi]) + fp[hi])[bad]
+            same = bad & np.isnan(y) & (fp[lo] == fp[hi])
+            y[same] = fp[lo][same]
+    filled[i] = y
     return filled

@@ -8,7 +8,9 @@ BASELINE.json.input_hint — then for every retention tier emits one row per
 (conv_id, bucket) window with exact vectorized stats (reduceat) and the
 entropy kernels of the reference applied per window — computed for all of a
 tier's windows of one series in ONE ragged pass (``_window_entropies``,
-``kernels/batch_entropy``), bit-identical to the scalar kernels:
+``kernels/batch_entropy``), bit-identical to the scalar kernels, and once
+per distinct window across tiers (a 1d window holding exactly the turns
+of a 1h window reuses its entropies):
 
 - ``sampen``/``permen``: computed on the first-differenced window series
   (the reference's stationarity preprocessing, stationarity.py:237-241,
@@ -183,6 +185,13 @@ def rollup_windows(
             codes, ts_us, v = codes[keep], ts_us[keep], v[keep]
 
     out: dict[str, list[np.ndarray]] = {name: [] for name in ROLLUP_COLUMNS}
+    # entropies of every window computed so far, by (start, count): all
+    # tiers share one sorted order, so an equal window of another tier has
+    # the same kernel series, radius and result bits
+    done_key = np.empty(0, dtype=np.int64)
+    done = np.empty((0, 4))
+    dv = np.zeros(v.size)  # the first-differenced series
+    np.subtract(v[1:], v[:-1], out=dv[1:])
     for tier in cfg.tiers:
         step = TIER_STEPS_US[tier]
         bucket = (ts_us // step) * step
@@ -209,14 +218,14 @@ def rollup_windows(
         r_raw = window_radii_from_moments(ssq_c, counts, cfg.r_frac)
 
         n_win = starts.size
-        use_diff = cfg.preprocess == "difference"
-        eligible = counts >= cfg.min_window
-        s_raw, p_raw = _window_entropies(v, starts, counts, eligible, r_raw, cfg)
-        if use_diff:
-            dv = np.empty(v.size)
-            if v.size:
-                dv[0] = 0.0
-                np.subtract(v[1:], v[:-1], out=dv[1:])
+        key = starts * (codes.size + 1) + counts
+        at = np.searchsorted(done_key, key)
+        hit = at < done_key.size
+        hit[hit] = done_key[at[hit]] == key[hit]
+        todo = (counts >= cfg.min_window) & ~hit
+        ent = np.empty((n_win, 4))
+        ent[:, 0], ent[:, 1] = _window_entropies(v, starts, counts, todo, r_raw, cfg)
+        if cfg.preprocess == "difference":
             # diff-series radius: telescoping mean, centered reduceat
             # variance; dv[starts] is zeroed by construction so segment
             # sums over [start, next_start) cover exactly [start+1, end)
@@ -229,11 +238,16 @@ def rollup_windows(
             r_diff = window_radii_from_moments(
                 ssq_d, np.maximum(counts - 1, 1), cfg.r_frac
             )
-            s_diff, p_diff = _window_entropies(
-                dv, starts + 1, counts - 1, eligible, r_diff, cfg
+            ent[:, 2], ent[:, 3] = _window_entropies(
+                dv, starts + 1, counts - 1, todo, r_diff, cfg
             )
         else:
-            s_diff, p_diff = s_raw, p_raw
+            ent[:, 2:] = ent[:, :2]
+        ent[hit] = done[at[hit]]
+        done_key = np.append(done_key, key[todo])
+        by_key = np.argsort(done_key, kind="stable")
+        done_key, done = done_key[by_key], np.concatenate([done, ent[todo]])[by_key]
+        s_raw, p_raw, s_diff, p_diff = ent.T
 
         out["conv_id"].append(uniques[codes[starts]])
         out["tier"].append(np.full(n_win, tier, dtype=object))

@@ -3,7 +3,7 @@ and the np.interp oracle for gap-fill (SURVEY.md §5 target strategy #2)."""
 
 import numpy as np
 
-from eristropy_ray.codecs.bits import BitReader, BitWriter
+from eristropy_ray.codecs.bits import BitReader, pack_fields
 from eristropy_ray.codecs.dod import dod_decode, dod_encode
 from eristropy_ray.codecs.gapfill import gapfill_series
 from eristropy_ray.codecs.gorilla import gorilla_decode, gorilla_encode
@@ -17,13 +17,21 @@ def _roundtrip_floats(v):
 
 
 def test_bitstream_roundtrip():
-    w = BitWriter()
-    vals = [(0b1, 1), (0b0, 1), (0xDEADBEEF, 32), (0b101, 3), (0, 7), ((1 << 64) - 1, 64)]
+    """``BitReader`` reads back the fields ``pack_fields`` writes after a
+    block's count header; the block is zero-padded to a byte."""
+    vals = [(0b1, 1), (0b0, 1), (0xDEADBEEF, 32), (0b101, 3), (0, 7), ((1 << 64) - 1, 64), (0, 0)]
+    data, offsets = pack_fields(
+        np.array([0, 1]),
+        np.array([[v for v, _ in vals]], dtype=np.uint64),
+        np.array([[nb for _, nb in vals]], dtype=np.uint8),
+    )
+    raw = data.tobytes()
+    assert offsets.tolist() == [0, len(raw)] and len(raw) == 4 + 14  # 108 bits
+    assert raw[:4] == (1).to_bytes(4, "big")
+    r = BitReader(raw[4:])
     for v, nb in vals:
-        w.write(v, nb)
-    r = BitReader(w.getvalue())
-    for v, nb in vals:
-        assert r.read(v.bit_length() and nb or nb) == v
+        assert r.read(nb) == v
+    assert r.read(4) == 0  # padding
 
 
 def test_gorilla_roundtrip_random(rng):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pandas as pd
+import pytest
 
 from eristropy_ray.config import TIER_STEPS_US, RollupConfig
 from eristropy_ray.kernels.permen import permen
@@ -70,8 +71,10 @@ def _oracle(df, cfg):
                 row["sampen_raw"], row["permen_raw"] = _entropies_oracle(
                     x, cfg, raw_window_radius(x, cfg.r_frac)
                 )
-                row["sampen"], row["permen"] = _entropies_oracle(
-                    np.diff(x), cfg, diff_window_radius(x, cfg.r_frac)
+                row["sampen"], row["permen"] = (
+                    _entropies_oracle(np.diff(x), cfg, diff_window_radius(x, cfg.r_frac))
+                    if cfg.preprocess == "difference"
+                    else (row["sampen_raw"], row["permen_raw"])
                 )
             else:
                 row["sampen_raw"] = row["permen_raw"] = np.nan
@@ -84,7 +87,9 @@ def _oracle(df, cfg):
     )
 
 
-def _assert_matches_oracle(df, cfg):
+def _assert_matches_oracle(df, cfg, kept=None):
+    """``kept``: the turns the oracle sees (default ``df``), for a config
+    that drops late turns."""
     got = pd.DataFrame(
         rollup_windows(
             df["conv_id"].to_numpy(dtype=object),
@@ -94,7 +99,7 @@ def _assert_matches_oracle(df, cfg):
             cfg,
         )
     ).sort_values(["tier", "conv_id", "bucket_ts"]).reset_index(drop=True)
-    want = _oracle(df, cfg)
+    want = _oracle(df if kept is None else kept, cfg)
     assert len(got) == len(want)
     for col in ("n_turns", "value_mean", "value_min", "value_max"):
         np.testing.assert_array_equal(got[col].to_numpy(), want[col].to_numpy(), err_msg=col)
@@ -262,3 +267,66 @@ def test_lateness_watermark_property():
         )
         got = frame(rollup_windows(conv, idx, ts, val, cfg))
         pd.testing.assert_frame_equal(got, want)
+
+
+def _tiered_turns():
+    """``short``: 30 turns in one hour, so its 1d window equals its 1h
+    window; ``long``: 40 turns over two hours, so it does not; ``hot``:
+    300 turns in one hour, over a 100-point stride cap at 1h and 1d."""
+    t0 = 1_700_006_400_000_000  # an hour boundary
+    return pd.concat(
+        [
+            _conv("short", np.round(np.sin(np.arange(30.0)) * 50), gap_us=60_000_000, t0=t0),
+            _conv("long", np.arange(40.0) % 7, gap_us=180_000_000, t0=t0),
+            _conv("hot", np.round(np.cos(np.arange(300.0) / 3) * 90), gap_us=10_000_000, t0=t0),
+        ],
+        ignore_index=True,
+    )
+
+
+def test_equal_windows_across_tiers_are_computed_once(monkeypatch):
+    """A 1d window holding exactly the turns of a 1h window reuses its
+    entropies: SampEn receives each distinct window once per series."""
+    import eristropy_ray.stages.windows as windows
+
+    sent = []
+
+    def counting(x, bounds, m, r):
+        sent.append(np.diff(bounds))
+        return sampen_ragged(x, bounds, m, r)
+
+    from eristropy_ray.kernels.batch_entropy import sampen_ragged
+
+    monkeypatch.setattr(windows, "sampen_ragged", counting)
+    df = _tiered_turns()
+    cfg = RollupConfig(tiers=("1h", "1d"), max_window_points=100)
+    _assert_matches_oracle(df, cfg)
+    # raw series: short 30 (1h), long 20 + 20 (1h) and 40 (1d), hot
+    # 300 strided to 100 (1h); the 1d windows of short and hot are reused
+    raw = [30, 20, 20, 100, 40]
+    diff = [29, 19, 19, 100, 39]
+    assert sorted(np.concatenate(sent).tolist()) == sorted(raw + diff)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RollupConfig(tiers=("1d", "1h", "1m")),
+        RollupConfig(tiers=("1h",)),
+        RollupConfig(tiers=("1m", "1d"), max_window_points=100),
+        RollupConfig(tiers=("1d", "1h"), preprocess="none"),
+        RollupConfig(tiers=("1h", "1m", "1d"), lateness_us=1_800_000_000),
+    ],
+    ids=["reversed", "one_tier", "skip_1h", "no_preprocess", "lateness"],
+)
+def test_tier_orders_match_oracle(cfg):
+    """Reuse holds for any tier order and config: bits equal the scalar
+    oracle's, with late turns dropped as the watermark says."""
+    df = _tiered_turns()
+    kept = df
+    if cfg.lateness_us is not None:
+        day = df["ts"] // TIER_STEPS_US["1d"]
+        last = df.groupby([df["conv_id"], day])["ts"].transform("max")
+        kept = df[df["ts"] >= last - cfg.lateness_us]
+        assert len(kept) < len(df)
+    _assert_matches_oracle(df, cfg, kept)
