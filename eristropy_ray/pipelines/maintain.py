@@ -16,11 +16,15 @@ incremental window updates.
   shard; a file is dropped only when EVERY bucket in it is expired).
 
 - ``update_windows_incremental``: late/new turns for already-rolled-up
-  conversations: recompute only the affected (conv_id, bucket) windows
-  from the union of stored turns for those windows and the new batch,
-  then upsert into the rollup rows. Window-level recomputation is the
-  correct granularity because every rollup column is a pure function of
-  the window's turn multiset.
+  conversations: recompute every window of each touched (conv_id, day)
+  unit — the days of the late turns plus the old days of the stored turns
+  they replace — from the merged turns, then upsert into the rollup rows.
+  The unit is a whole day, not the touched windows: every tier's windows
+  (<= 1d) and the ``lateness_us`` watermark are local to a (conv, day),
+  and one ``rollup_windows`` call over the whole unit lets an equal 1h
+  and 1d window share their entropies. The merge itself is one numpy
+  keyed pass (int64 (conv, day) keys, a lexsort keep-last dedupe, a
+  lexsort take-based assembly).
 """
 
 from __future__ import annotations
@@ -193,116 +197,103 @@ def apply_retention(
     return deleted
 
 
+def _us(col: pd.Series) -> np.ndarray:
+    """int64 microseconds of a timestamp column: datetime of any unit, or
+    int64 that already holds µs (the dtype ``rollup_windows`` emits)."""
+    if col.dtype.kind == "M":
+        return col.to_numpy().astype("datetime64[us]").view(np.int64)
+    return col.to_numpy(dtype=np.int64)
+
+
 def update_windows_incremental(
     rollup_rows: pd.DataFrame,
     stored_turns: pd.DataFrame,
     new_turns: pd.DataFrame,
     cfg: RollupConfig = RollupConfig(),
 ) -> pd.DataFrame:
-    """Upsert rollup rows for the windows touched by ``new_turns``.
+    """Upsert rollup rows for the (conv, day) units touched by ``new_turns``.
 
     Args:
-        rollup_rows: existing rollup rows (any subset of tiers/convs).
+        rollup_rows: existing rollup rows (the ``ROLLUP_COLUMNS``, any
+            subset of tiers/convs), ``bucket_ts`` int64 µs or timestamp.
         stored_turns: the turn store restricted to (at least) the touched
             conversations — (conv_id, turn_idx, ts, value) with ts int64
             µs or timestamp.
-        new_turns: the late/new batch, same schema.
+        new_turns: the late/new batch, same schema (its ``ts`` dtype may
+            differ from the store's). A replayed (conv, turn_idx) replaces
+            the stored turn; within the batch the last copy wins. Turns
+            with a null conv_id are dropped.
 
-    Returns the updated rollup frame: untouched rows unchanged, touched
-    (conv, tier, bucket) rows recomputed from the merged turns, windows
-    that newly appear added. Only tiers in ``cfg.tiers`` are recomputed;
-    rows of OTHER tiers pass through unchanged even in touched days (the
+    Returns the updated rollup frame sorted by (conv_id, tier, bucket_ts)
+    with a RangeIndex and ``bucket_ts`` datetime64[ns]: untouched rows
+    unchanged, every ``cfg.tiers`` row of a touched (conv, day) recomputed
+    from the merged turns (rows of buckets a moved turn emptied vanish).
+    Rows of OTHER tiers pass through unchanged even in touched days (the
     caller recomputes them with a second call or ``cascade_stats`` —
     deleting them here would silently drop data the recompute does not
     replace). Deterministic: the merged turn multiset fully determines
     every recomputed row.
     """
-
-    def _ts_us(df: pd.DataFrame) -> np.ndarray:
-        ts = df["ts"]
-        if np.issubdtype(ts.dtype, np.datetime64):
-            return ts.to_numpy().astype("datetime64[us]").astype(np.int64)
-        return ts.to_numpy(dtype=np.int64)
-
     if not len(new_turns):
-        # empty late batch: nothing touched, return the frame unchanged
-        # (an empty boolean list would otherwise be read as column
-        # labels by pandas, not an empty row selector)
-        return rollup_rows
-
-    touched_convs = set(new_turns["conv_id"])
-    stored = stored_turns[stored_turns["conv_id"].isin(touched_convs)]
-    merged = pd.concat([stored, new_turns], ignore_index=True)
-    # dedupe exact replays of the same (conv, turn_idx)
-    merged = merged.drop_duplicates(["conv_id", "turn_idx"], keep="last")
-
-    # recompute the day-groups containing new turns (windows of every tier
-    # <= 1d nest inside them) PLUS the stored days of replayed keys — a
-    # corrected turn whose timestamp moved across a day boundary must
-    # vacate its old day too. Membership tests are vectorized
-    # (MultiIndex.isin), not per-row Python — the stored-turn slice can
-    # be large.
+        return rollup_rows  # nothing touched
     day = TIER_STEPS_US["1d"]
-    scope_idx = pd.MultiIndex.from_arrays(
-        [new_turns["conv_id"], (_ts_us(new_turns) // day) * day]
-    )
-    new_keys_idx = pd.MultiIndex.from_arrays(
-        [new_turns["conv_id"], new_turns["turn_idx"]]
-    )
-    replaced = stored[
-        pd.MultiIndex.from_arrays(
-            [stored["conv_id"], stored["turn_idx"]]
-        ).isin(new_keys_idx)
-    ]
-    if len(replaced):
-        scope_idx = scope_idx.append(
-            pd.MultiIndex.from_arrays(
-                [replaced["conv_id"], (_ts_us(replaced) // day) * day]
-            )
-        )
-    scope_idx = scope_idx.unique()
-    m_day = (_ts_us(merged) // day) * day
-    in_scope = pd.MultiIndex.from_arrays([merged["conv_id"], m_day]).isin(
-        scope_idx
-    )
-    # np.asarray(..., dtype=bool): an all-empty mask must stay a boolean
-    # row selector, not be read as (float) column labels
-    scope = merged[np.asarray(in_scope, dtype=bool)]
+    # conversation codes over the late batch's ids: -1 marks a null late
+    # id (dropped) and a stored turn of an untouched conversation
+    late_c, convs = pd.factorize(new_turns["conv_id"])
+    stored_c = convs.get_indexer(stored_turns["conv_id"])
+    s, n = np.flatnonzero(stored_c >= 0), np.flatnonzero(late_c >= 0)
+    frames = ((stored_turns, s), (new_turns, n))
+    c = np.concatenate((stored_c[s], late_c[n])).astype(np.int64)
+    t = np.concatenate([f["turn_idx"].to_numpy(dtype=np.int64)[i] for f, i in frames])
+    ts = np.concatenate([_us(f["ts"])[i] for f, i in frames])
+    v = np.concatenate([f["value"].to_numpy(dtype=np.float64)[i] for f, i in frames])
+    # (conv, day) keys: the day index of any int64 µs fits in ±2^31
+    key = (c << 32) + ts // day
 
-    cols = rollup_windows(
-        scope["conv_id"].to_numpy(dtype=object),
-        scope["turn_idx"].to_numpy(dtype=np.int64),
-        _ts_us(scope),
-        scope["value"].to_numpy(dtype=np.float64),
-        cfg,
-    )
-    recomputed = pd.DataFrame(cols)
-    recomputed["bucket_ts"] = pd.to_datetime(recomputed["bucket_ts"], unit="us")
+    # keep-last dedupe of (conv, turn_idx): the stable lexsort ends each key
+    # group with its last row in batch order, a late one when any is late.
+    # The stored copies of such a group are replaced; their days join the
+    # scope, so a turn moved across a day boundary vacates its old day.
+    order = np.lexsort((t, c))
+    last = np.ones(order.size, dtype=bool)
+    last[:-1] = (c[order[1:]] != c[order[:-1]]) | (t[order[1:]] != t[order[:-1]])
+    group = np.cumsum(last) - last  # group ends before each row
+    late_last = order[last] >= s.size
+    replaced = order[(order < s.size) & late_last[group]]
+    # the recompute scope: whole (conv, day) units, inside which every
+    # tier's windows (<= 1d) and the lateness_us watermark are local
+    scope = np.unique(np.concatenate((key[s.size:], key[replaced])))
+    kept = order[last]
+    kept = kept[np.isin(key[kept], scope)]
+    rec = rollup_windows(convs.to_numpy(dtype=object)[c[kept]], t[kept], ts[kept], v[kept], cfg)
 
-    key = ["conv_id", "tier", "bucket_ts"]
-    existing = rollup_rows.copy()
-    # same dtype dispatch as _ts_us: int64 bucket_ts (the dtype
-    # rollup_windows itself emits) is MICROSECONDS, not the nanoseconds
-    # a unit-less to_datetime would assume — a silent unit mismatch here
-    # makes every upsert key miss and duplicates the touched rows
-    if pd.api.types.is_integer_dtype(existing["bucket_ts"]):
-        existing["bucket_ts"] = pd.to_datetime(existing["bucket_ts"], unit="us")
-    else:
-        existing["bucket_ts"] = pd.to_datetime(existing["bucket_ts"])
-    # drop EVERY existing row whose (conv, day) is in the recompute scope,
-    # not just keys present in `recomputed`: a bucket emptied by a moved
-    # turn has no recomputed row, and keeping its stale row would count
-    # the turn in both its old and new buckets. Restricted to cfg.tiers —
-    # recomputation only covers those, so deleting other tiers' rows in
-    # the touched days would silently drop them from the returned frame.
-    ex_us = existing["bucket_ts"].to_numpy().astype("datetime64[us]").astype(np.int64)
-    ex_day = (ex_us // day) * day
-    stale = np.asarray(
-        pd.MultiIndex.from_arrays([existing["conv_id"], ex_day]).isin(
-            scope_idx
-        ),
-        dtype=bool,
-    )
-    stale &= existing["tier"].isin(cfg.tiers).to_numpy()
-    out = pd.concat([existing[~stale], recomputed], ignore_index=True)
-    return out.sort_values(key, kind="stable").reset_index(drop=True)
+    # drop every cfg.tiers row of a scope unit — not just the recomputed
+    # keys: a bucket emptied by a moved turn has no recomputed row. A
+    # null conv_id (factorize code -1) is untouched and sorts last.
+    e_codes, e_convs = pd.factorize(rollup_rows["conv_id"], sort=True)
+    e_tiers, tiers = pd.factorize(rollup_rows["tier"], sort=True)
+    e_us = _us(rollup_rows["bucket_ts"])
+    e_c = np.append(convs.get_indexer(e_convs), -1)[e_codes]
+    stale = (e_c >= 0) & np.isin(tiers, cfg.tiers)[e_tiers]
+    stale &= np.isin((e_c << 32) + e_us // day, scope)
+    keep = np.flatnonzero(~stale)
+
+    # assemble with one stable lexsort over (sorted conv rank, tier rank,
+    # bucket µs); position breaks ties, as the stable sort it replaces did
+    all_convs = e_convs.union(convs, sort=True)
+    all_tiers = tiers.union(cfg.tiers, sort=True)
+    conv_rank = np.concatenate((
+        np.append(all_convs.get_indexer(e_convs), all_convs.size)[e_codes[keep]],
+        all_convs.get_indexer(rec["conv_id"]),
+    ))
+    tier_rank = np.concatenate((
+        all_tiers.get_indexer(tiers)[e_tiers[keep]], all_tiers.get_indexer(rec["tier"])
+    ))
+    bucket = np.concatenate((e_us[keep], rec["bucket_ts"]))
+    out = np.lexsort((bucket, tier_rank, conv_rank))
+    return pd.DataFrame({
+        col: bucket[out].astype("datetime64[us]").astype("datetime64[ns]")
+        if col == "bucket_ts"
+        else np.concatenate((rollup_rows[col].to_numpy()[keep], rec[col]))[out]
+        for col in rollup_rows.columns
+    })

@@ -136,9 +136,9 @@ def rollup_windows(
 ) -> dict[str, np.ndarray]:
     """All-tier rollup rows (dict of columns per ROLLUP_COLUMNS) for the
     given turns. Input order is irrelevant; output is ordered by
-    (tier, conv, bucket). Null conv_ids are dropped (groupby dropna
-    semantics — factorize's -1 code would merge them into one synthetic
-    conversation).
+    (tier, conv, bucket). Null conv_ids — factorize's -1 code — are
+    dropped (groupby dropna semantics), never merged into one synthetic
+    conversation.
 
     Late-data policy (``cfg.lateness_us`` not None): turns older than the
     (conversation, day) watermark — the max ts seen in that conv-day
@@ -150,13 +150,13 @@ def rollup_windows(
     order-independent, the batch analogue of the streaming operator's
     end-state watermark (q_streaming_window's per-arrival drop).
     """
-    valid = pd.notna(conv_id)
+    codes, uniques = pd.factorize(conv_id, sort=False)
+    valid = codes >= 0  # factorize codes a null id -1
     if not valid.all():
-        conv_id = conv_id[valid]
+        codes = codes[valid]
         turn_idx = np.asarray(turn_idx)[valid]
         ts_us = np.asarray(ts_us)[valid]
         value = np.asarray(value)[valid]
-    codes, uniques = pd.factorize(conv_id, sort=False)
     codes = np.ascontiguousarray(codes, dtype=np.int64)
     ts_us = np.ascontiguousarray(ts_us, dtype=np.int64)
     turn_idx = np.ascontiguousarray(turn_idx, dtype=np.int64)

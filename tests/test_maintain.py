@@ -387,3 +387,36 @@ def test_resume_reuses_completed_rollup_stage(ray_session, tmp_path):
     assert {f: f.stat().st_mtime_ns for f in after} == mtimes
     # encode regenerated
     assert list((out / "blocks").glob("**/*.parquet"))
+
+
+@pytest.mark.parametrize("stored_unit,late_unit", [("datetime64[us]", None), (None, "datetime64[us]")])
+def test_incremental_update_mixed_ts_dtypes(rng, stored_unit, late_unit):
+    """Stored and late turns may carry ``ts`` in different dtypes (int64 µs
+    on one side, datetime on the other): each frame's ``ts`` is read on its
+    own, never through a concatenated object column."""
+    cfg = RollupConfig()
+    df = _turns(rng, n_convs=2, n=120)
+    late_mask = (df["conv_id"] == "c1") & (df["turn_idx"] >= 90)
+    stored, late = df[~late_mask], df[late_mask]
+    rows = _rollup_df(stored, cfg)
+    if stored_unit:
+        stored = stored.assign(ts=stored["ts"].astype(stored_unit))
+    if late_unit:
+        late = late.assign(ts=late["ts"].astype(late_unit))
+    updated = update_windows_incremental(rows, stored, late, cfg)
+    full = _rollup_df(df, cfg)
+    pd.testing.assert_frame_equal(updated[full.columns], full.sort_values(
+        ["conv_id", "tier", "bucket_ts"], kind="stable").reset_index(drop=True), check_exact=True)
+
+
+def test_incremental_update_into_empty_store(rng):
+    """Late turns of conversations never stored, upserted into an empty
+    rollup: the result is the from-scratch rollup, sorted by
+    (conv_id, tier, bucket_ts) — not in the batch's or cfg.tiers' order."""
+    cfg = RollupConfig()
+    df = _turns(rng, n_convs=3, n=60)
+    late = df.iloc[::-1]  # conversations arrive c2, c1, c0
+    empty = _rollup_df(df.iloc[0:0], cfg)
+    updated = update_windows_incremental(empty, df.iloc[0:0], late, cfg)
+    full = _rollup_df(df, cfg).sort_values(["conv_id", "tier", "bucket_ts"], kind="stable")
+    pd.testing.assert_frame_equal(updated, full.reset_index(drop=True), check_exact=True)
