@@ -234,8 +234,6 @@ def update_windows_incremental(
     replace). Deterministic: the merged turn multiset fully determines
     every recomputed row.
     """
-    if not len(new_turns):
-        return rollup_rows  # nothing touched
     day = TIER_STEPS_US["1d"]
     # conversation codes over the late batch's ids: -1 marks a null late
     # id (dropped) and a stored turn of an untouched conversation

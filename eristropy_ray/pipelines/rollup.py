@@ -3,10 +3,12 @@
 Two physical plans over one logical plan (SURVEY.md §4.2):
 
 1. **Colocated** (conversation-partitioned files — the production ingest
-   layout): ZERO shuffles, one task per file. ``fused_rollup_encode_colocated``
-   does read → project(value=len(text)) → all-tier windowed rollup →
-   atomic rollup-row checkpoint → gap-fill + Gorilla/DoD blocks; the
-   block stream goes straight to the Parquet sink with no barriers.
+   layout): ZERO shuffles, one task per group of whole files (one group
+   per CPU, packed largest-first; see ``_path_dataset``). For each of its
+   files ``fused_rollup_encode_colocated`` does read →
+   project(value=len(text)) → all-tier windowed rollup → atomic
+   rollup-row checkpoint → gap-fill + Gorilla/DoD blocks; the block
+   stream goes straight to the Parquet sink with no barriers.
    ``rollup_files_colocated`` is the same per-file rollup, rows only.
 
 2. **Bucketed** (any layout): ``rollup_dataset`` pays ONE hash shuffle —
@@ -16,11 +18,11 @@ Two physical plans over one logical plan (SURVEY.md §4.2):
    conversation through ``pipelines/exchange.py``.
 
 The colocated plans map over one path Dataset built by ``_path_dataset``
-(one fn call per file). That Dataset switches off Ray Data's operator
-resource reservation on its own context, so the fused map runs one task
-per CPU instead of half-wide; the session's global ``DataContext`` is
-never written. The bucketed plan keeps reservation, which guards its
-exchanges.
+(one fn call per file group). That Dataset switches off Ray Data's
+operator resource reservation on its own context, so the fused map runs
+one task per CPU instead of half-wide; the session's global
+``DataContext`` is never written. The bucketed plan keeps reservation,
+which guards its exchanges.
 
 Streaming properties: no driver-side materialization of the turn table;
 the rollup output is ~windows-sized (orders smaller than input); blocks
@@ -30,6 +32,7 @@ are smaller still. Never call ray.init() here — the session owner does.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import os
 import shutil
 import time
@@ -37,6 +40,7 @@ from pathlib import Path
 
 import pyarrow as pa
 import pyarrow.parquet as pq
+import ray
 import ray.data as rd
 
 from eristropy_ray.config import EncodeConfig, RollupConfig
@@ -75,13 +79,17 @@ def _pin_arrow_threads() -> None:
         pa.set_io_thread_count(2)
 
 
+def _cluster_cpus() -> int | None:
+    """CPUs of the Ray session this process is in, None outside one."""
+    if not ray.is_initialized():
+        return None
+    return int(ray.cluster_resources().get("CPU", 8))
+
+
 def _default_partitions(cfg: RollupConfig) -> int:
     if cfg.num_partitions:
         return cfg.num_partitions
-    import ray
-
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return max(2 * cpus, 16)
+    return max(2 * (_cluster_cpus() or 8), 16)
 
 
 def _rollup_table(t: pa.Table, cfg: RollupConfig) -> pa.Table:
@@ -144,18 +152,42 @@ def encode_dataset(
     )
 
 
+def _file_groups(files: list[str], n: int, max_bytes: int | None) -> list[list[str]]:
+    """Whole files packed into ``n`` groups: largest first onto the
+    lightest group (LPT, Graham 1969). A file that would push the
+    lightest group past ``max_bytes`` opens a group of its own, so files
+    of ``max_bytes`` or more each get one."""
+    groups: list[list[str]] = [[] for _ in range(n)]
+    heap = [(0, i) for i in range(n)]
+    sizes = {f: os.path.getsize(f) for f in files}
+    for f in sorted(files, key=sizes.get, reverse=True):
+        load, i = heapq.heappop(heap)
+        if load and max_bytes is not None and load + sizes[f] > max_bytes:
+            heapq.heappush(heap, (load, i))
+            load, i = 0, len(groups)
+            groups.append([])
+        groups[i].append(f)
+        heapq.heappush(heap, (load + sizes[f], i))
+    return groups
+
+
 def _path_dataset(files: list[str]) -> rd.Dataset:
-    """One-row-per-file Dataset that the colocated plans map over.
+    """One-row-per-file-group Dataset that the colocated plans map over.
+
+    Ray's fixed cost per task is as large as a small file's work, so the
+    files are packed into ``min(len(files), cluster CPUs)`` groups by
+    ``_file_groups``, whose byte bound is the context's
+    ``target_max_block_size`` (128 MiB): a layout of large files still
+    gets one task per file. Outside a Ray session, or in one that reports
+    no CPUs, every file is its own group. Each row holds one group's
+    ``paths``.
 
     Mapped with ``batch_size=1`` it guarantees exactly one fn call per
-    file: map_batches cuts batches at 1 row no matter how from_items
-    packs paths into blocks, so a conversation is never split.
-    (read_parquet + override_num_blocks is only a hint: Ray's dynamic
-    block splitting can still cut a file — and therefore a conversation
-    — across blocks, which silently breaks the window contract; observed
-    on the hot-conversation file.) Default block packing (~1.3
-    paths/block) is kept: one block per path cost ~0.3 s of extra task
-    dispatch at 256 files for no correctness gain.
+    group of whole files, so a conversation is never split. (read_parquet
+    + override_num_blocks is only a hint: Ray's dynamic block splitting
+    can still cut a file — and therefore a conversation — across blocks,
+    which silently breaks the window contract; observed on the
+    hot-conversation file.)
 
     Operator resource reservation is switched off on THIS Dataset's own
     context. Ray Data's reservation allocator gives the plan's input
@@ -165,7 +197,12 @@ def _path_dataset(files: list[str]) -> rd.Dataset:
     encode map, the parquet sink) shares that copy, so the caller's
     global context is untouched.
     """
-    paths = rd.from_items([{"path": f} for f in files])
+    groups = _file_groups(
+        files,
+        min(len(files), _cluster_cpus() or len(files)),
+        rd.DataContext.get_current().target_max_block_size,
+    )
+    paths = rd.from_items([{"paths": g} for g in groups])
     paths.context.op_resource_reservation_enabled = False
     return paths
 
@@ -186,16 +223,18 @@ def rollup_files_colocated(
     file (the synthesizer guarantees this; a production ingest at 10^12
     turns would bucket-by-conv at write time for exactly this reason —
     it converts the one big all-to-all exchange into embarrassingly
-    parallel per-file tasks). One task per file reads, projects and
-    rolls up all tiers; ``fused_rollup_encode_colocated`` also encodes
-    the blocks in the same task.
+    parallel per-file work). One task per group of whole files (see
+    ``_path_dataset``) reads, projects and rolls up all tiers of each of
+    its files; ``fused_rollup_encode_colocated`` also encodes the blocks
+    in the same task.
 
     For unpartitioned inputs use ``rollup_dataset``, which pays the hash
     shuffle to establish the same co-location.
     """
 
-    def read_project_rollup(batch: pa.Table) -> pa.Table:
-        return _rollup_file(batch["path"][0].as_py(), cfg)
+    def read_project_rollup(batch: pa.Table):
+        for path in batch["paths"][0].as_py():
+            yield _rollup_file(path, cfg)
 
     return _path_dataset(files).map_batches(
         read_project_rollup, batch_format="pyarrow", batch_size=1
@@ -210,33 +249,34 @@ def fused_rollup_encode_colocated(
 ) -> rd.Dataset:
     """Single-pass flagship for conversation-partitioned layouts.
 
-    Each task: read its file -> project -> all-tier rollup -> CHECKPOINT
-    the rollup rows itself (atomic tmp+rename, hive-partitioned by tier,
-    one file per (input file, tier)) -> return the gap-filled compressed
+    Each task takes one group of whole files (see ``_path_dataset``), and
+    for each file: read -> project -> all-tier rollup -> CHECKPOINT the
+    rollup rows itself (atomic tmp+rename, hive-partitioned by tier, one
+    file per (input file, tier)) -> yield the gap-filled compressed
     blocks. One map stage, zero Dataset barriers — the returned Dataset
     streams blocks straight into its sink while later files are still
-    being read. The per-task side-effect write is idempotent (same input
-    file -> same output path), so Ray task retries are safe.
+    being read. The side-effect write is idempotent (same input file ->
+    same output path), so Ray task retries and resumes are safe.
     """
     encode_fn = make_partition_encode_fn(enc_cfg)
 
-    def task(batch: pa.Table) -> pa.Table:
-        # batch_size=1 below: each call sees exactly one path
-        src = batch["path"][0].as_py()
-        # stem alone collides for equal basenames in different dirs —
-        # whichever task finished last would silently overwrite the
-        # other's rollup checkpoint; salt with a path digest
-        stem = Path(src).stem + "-" + hashlib.sha1(src.encode()).hexdigest()[:8]
-        rollup = _rollup_file(src, cfg)
-        tiers = rollup["tier"].to_numpy(zero_copy_only=False)
-        for tier in dict.fromkeys(tiers.tolist()):
-            sub = rollup.filter(pa.array(tiers == tier))
-            d = Path(rows_out_dir) / f"tier={tier}"
-            d.mkdir(parents=True, exist_ok=True)
-            tmp = d / f".{stem}.parquet.tmp"
-            pq.write_table(sub.drop_columns(["tier"]), tmp)
-            os.replace(tmp, d / f"{stem}.parquet")
-        return encode_fn(rollup)
+    def task(batch: pa.Table):
+        # batch_size=1 below: each call sees exactly one file group
+        for src in batch["paths"][0].as_py():
+            # stem alone collides for equal basenames in different dirs —
+            # whichever task finished last would silently overwrite the
+            # other's rollup checkpoint; salt with a path digest
+            stem = Path(src).stem + "-" + hashlib.sha1(src.encode()).hexdigest()[:8]
+            rollup = _rollup_file(src, cfg)
+            tiers = rollup["tier"].to_numpy(zero_copy_only=False)
+            for tier in dict.fromkeys(tiers.tolist()):
+                sub = rollup.filter(pa.array(tiers == tier))
+                d = Path(rows_out_dir) / f"tier={tier}"
+                d.mkdir(parents=True, exist_ok=True)
+                tmp = d / f".{stem}.parquet.tmp"
+                pq.write_table(sub.drop_columns(["tier"]), tmp)
+                os.replace(tmp, d / f"{stem}.parquet")
+            yield encode_fn(rollup)
 
     return _path_dataset(files).map_batches(
         task, batch_format="pyarrow", batch_size=1

@@ -242,7 +242,10 @@ def test_incremental_update_empty_batch_is_noop(rng):
     rollup = _rollup_df(df, cfg)
     empty = df.iloc[0:0]
     out = update_windows_incremental(rollup, df, empty, cfg)
-    pd.testing.assert_frame_equal(out, rollup, check_exact=True)
+    # the same rows, in the contract every batch gets: sorted by
+    # (conv_id, tier, bucket_ts) with a RangeIndex
+    want = rollup.sort_values(["conv_id", "tier", "bucket_ts"], kind="stable")
+    pd.testing.assert_frame_equal(out, want.reset_index(drop=True), check_exact=True)
 
 
 def test_incremental_update_preserves_other_tiers(rng):

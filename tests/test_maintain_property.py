@@ -115,9 +115,6 @@ def test_upsert_equals_full_recompute(stored, ops, stored_ts, late_ts, bucket_ts
     rows = rows.iloc[rng.permutation(len(rows))][[c for c in rows.columns if c != "tier"] + ["tier"]]
 
     updated = update_windows_incremental(rows, _as(stored, "ts", stored_ts), _as(late, "ts", late_ts), cfg)
-    if late.empty:
-        assert updated is rows  # nothing touched: the frame comes back as given
-        return
     merged = pd.concat([stored, late[late["conv_id"].notna()]], ignore_index=True)
     full = _rollup(merged.drop_duplicates(["conv_id", "turn_idx"], keep="last"), cfg)
     # the contract: the input's columns, sorted by KEY, a RangeIndex,

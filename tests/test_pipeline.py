@@ -196,11 +196,18 @@ def test_path_dataset_runs_one_task_per_cpu(ray_session, tmp_path):
     def interval(batch):
         import time
 
-        t0 = time.time()
-        time.sleep(sleep_s)
-        return {"t0": [t0], "t1": [time.time()]}
+        rows = {"t0": [], "t1": []}
+        for _ in batch["paths"][0]:
+            rows["t0"].append(time.time())
+            time.sleep(sleep_s)
+            rows["t1"].append(time.time())
+        return rows
 
-    paths = [f"p{i}" for i in range(4 * cpus)]
+    # real files: the path Dataset packs them into groups by size
+    paths = []
+    for i in range(4 * cpus):
+        (tmp_path / f"p{i}").write_bytes(b"x")
+        paths.append(str(tmp_path / f"p{i}"))
     _path_dataset(paths).map_batches(interval, batch_size=1).materialize()
     peaks, widths = [], []
     # median of three runs: single runs of the reserved plan reached 3.7
@@ -227,6 +234,113 @@ def test_path_dataset_runs_one_task_per_cpu(ray_session, tmp_path):
     assert not fused.context.op_resource_reservation_enabled
     assert not rows.context.op_resource_reservation_enabled
     assert DataContext.get_current().op_resource_reservation_enabled == before
+
+
+def _map_tasks(ds) -> int:
+    """Tasks of the plan's map operator, as ``ds.stats()`` reports them
+    (an operator that ran no task prints no count)."""
+    import re
+
+    m = re.search(r"MapBatches\(\w+\): (\d+) tasks executed", ds.stats())
+    return int(m.group(1)) if m else 0
+
+
+def test_file_groups_pack_largest_first_under_the_byte_bound(tmp_path):
+    """LPT: largest file first onto the lightest group; a file that would
+    push the lightest group past the bound opens a group of its own."""
+    from eristropy_ray.pipelines.rollup import _file_groups
+
+    files = []
+    for i, size in enumerate([7, 1, 5, 4, 3, 2, 9]):
+        (tmp_path / f"f{i}").write_bytes(b"x" * size)
+        files.append(str(tmp_path / f"f{i}"))
+
+    def names(groups):
+        return [[int(f[-1]) for f in g] for g in groups]
+
+    assert names(_file_groups(files, 3, None)) == [[6, 5], [0, 4], [2, 3, 1]]
+    assert names(_file_groups(files, 2, 10)) == [[6], [0, 4], [2, 3], [5, 1]]
+    assert names(_file_groups(files, 2, 1)) == [[6], [0], [2], [3], [4], [5], [1]]
+    assert _file_groups([], 0, None) == []
+
+
+@pytest.mark.parametrize("layout", ["hot", "few", "one", "zero"])
+def test_grouped_plans_match_in_process(ray_session, tmp_path, layout):
+    """The colocated plans run min(files, CPUs) map tasks over groups of
+    whole files, and their rows and blocks equal an in-process rollup and
+    a per-file encode of the same files."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+
+    from eristropy_ray.pipelines.rollup import (
+        TRANSCRIPT_READ_COLUMNS,
+        _rollup_table,
+        fused_rollup_encode_colocated,
+        rollup_files_colocated,
+    )
+    from eristropy_ray.sources.transcripts import synthesize_transcripts
+    from eristropy_ray.stages.encode import make_partition_encode_fn
+    from eristropy_ray.stages.project import project_turns
+
+    cpus = int(ray.cluster_resources()["CPU"])
+    # "hot": one file holds a conversation 30x the mean
+    n = {"hot": 4 * cpus, "few": cpus - 1, "one": 1, "zero": 0}[layout]
+    files = []
+    if n:
+        d = synthesize_transcripts(
+            tmp_path / "tx", n_convs=2 * n, mean_turns=20, n_files=n, hot_factor=30
+        )
+        files = sorted(glob.glob(f"{d}/*.parquet"))
+    assert len(files) == n
+    cfg = RollupConfig()
+    rows = rollup_files_colocated(files, cfg).materialize()
+    blocks = fused_rollup_encode_colocated(files, str(tmp_path / "rows"), cfg).materialize()
+    assert _map_tasks(rows) == _map_tasks(blocks) == min(n, cpus)
+    # the checkpoint keeps one file per (input file, tier)
+    assert len(glob.glob(f"{tmp_path}/rows/tier=*/*.parquet")) == n * len(cfg.tiers)
+    if not n:
+        assert rows.count() == blocks.count() == 0
+        return
+    turns = [pq.read_table(f, columns=TRANSCRIPT_READ_COLUMNS) for f in files]
+    pd.testing.assert_frame_equal(
+        _sorted_rollup(rows), _reference_rollup(pa.concat_tables(turns), cfg), check_exact=True
+    )
+    encode = make_partition_encode_fn(EncodeConfig())
+    keys = ["tier", "conv_id", "block_start"]
+    want = pa.concat_tables(encode(_rollup_table(project_turns(t), cfg)) for t in turns)
+    pd.testing.assert_frame_equal(
+        blocks.to_pandas().sort_values(keys).reset_index(drop=True),
+        want.to_pandas().sort_values(keys).reset_index(drop=True),
+        check_exact=True,
+    )
+
+
+def test_path_dataset_bounds_group_bytes(ray_session, tmp_path):
+    """A plan context whose target_max_block_size is below every file
+    gives one task per file: files as large as a block are never packed."""
+    import os
+
+    from ray.data import DataContext
+
+    from eristropy_ray.pipelines.rollup import rollup_files_colocated
+    from eristropy_ray.sources.transcripts import synthesize_transcripts
+
+    d = synthesize_transcripts(tmp_path / "tx", n_convs=12, mean_turns=20, n_files=6, hot_factor=3)
+    files = sorted(glob.glob(f"{d}/*.parquet"))
+    ctx = DataContext.get_current()
+    before = ctx.target_max_block_size
+    ctx.target_max_block_size = min(os.path.getsize(f) for f in files)
+    try:
+        ds = rollup_files_colocated(files)
+    finally:
+        ctx.target_max_block_size = before
+    assert ds.context.target_max_block_size < before
+    rows = ds.materialize()
+    assert _map_tasks(rows) == len(files)
+    pd.testing.assert_frame_equal(
+        _sorted_rollup(rows), _sorted_rollup(rollup_files_colocated(files)), check_exact=True
+    )
 
 
 def test_job_fused_layout_and_resume(ray_session, tmp_path):
