@@ -52,9 +52,11 @@ from eristropy_ray.kernels.permen import _codes3
 # blocks run slower, most of all under many concurrent Ray tasks
 _CHUNK_ELEMS = 1 << 15
 _DENSE_ELEMS = 1 << 18
-# template starts (SampEn) or points (PermEn) per window group: bounds the
-# working set of one call (a few hundred bytes per start) on large inputs
-_GROUP_POINTS = 1 << 17
+# template starts (SampEn) or points (PermEn) per window group: at a few
+# hundred bytes per start, 2^15 keeps one group's working set near 10 MB
+# (2^17: ~40 MB; on the benchmark backfill's two file groups the
+# colocated body then took 0.65 s of CPU against 0.53 s)
+_GROUP_POINTS = 1 << 15
 # candidate share of a window's q(q-1)/2 pairs above which the dense matrix
 # is cheaper than checking candidates one by one (measured crossover)
 _DENSE_SHARE = 0.25

@@ -4,12 +4,12 @@ Two physical plans over one logical plan (SURVEY.md §4.2):
 
 1. **Colocated** (conversation-partitioned files — the production ingest
    layout): ZERO shuffles, one task per group of whole files (one group
-   per CPU, packed largest-first; see ``_path_dataset``). For each of its
-   files ``fused_rollup_encode_colocated`` does read →
-   project(value=len(text)) → all-tier windowed rollup → atomic
-   rollup-row checkpoint → gap-fill + Gorilla/DoD blocks; the block
-   stream goes straight to the Parquet sink with no barriers.
-   ``rollup_files_colocated`` is the same per-file rollup, rows only.
+   per CPU, packed largest-first; see ``_path_dataset``). Each task of
+   ``fused_rollup_encode_colocated`` reads and projects (value=len(text))
+   its files one by one, then runs ONE all-tier rollup, atomic rollup-row
+   checkpoint and gap-fill + Gorilla/DoD encode over the whole group; the
+   block stream goes straight to the Parquet sink with no barriers.
+   ``rollup_files_colocated`` is the same body, rows only.
 
 2. **Bucketed** (any layout): ``rollup_dataset`` pays ONE hash shuffle —
    a day-salted ``part = hash(conv_id, day) % P`` then
@@ -38,7 +38,9 @@ import shutil
 import time
 from pathlib import Path
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import ray
 import ray.data as rd
@@ -95,9 +97,14 @@ def _default_partitions(cfg: RollupConfig) -> int:
 def _rollup_table(t: pa.Table, cfg: RollupConfig) -> pa.Table:
     """Rollup rows of projected turns (``conv_id``, ``turn_idx``, ``ts``,
     ``value``; other columns are ignored) holding whole (conv, day)
-    units."""
+    units.
+
+    Conversation ids go to ``rollup_windows`` as dictionary codes, which
+    number them in first-appearance order as the strings would, and come
+    back through one ``take``."""
+    conv = t["conv_id"].combine_chunks().dictionary_encode()
     cols = rollup_windows(
-        conv_id=t["conv_id"].to_numpy(zero_copy_only=False),
+        conv_id=conv.indices.to_numpy(zero_copy_only=False),
         turn_idx=t["turn_idx"].to_numpy(zero_copy_only=False),
         ts_us=t["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False),
         value=t["value"].to_numpy(zero_copy_only=False),
@@ -105,7 +112,7 @@ def _rollup_table(t: pa.Table, cfg: RollupConfig) -> pa.Table:
     )
     return pa.table(
         {
-            "conv_id": pa.array(cols["conv_id"], pa.string()),
+            "conv_id": conv.dictionary.take(cols["conv_id"].astype(np.int64)),
             "tier": pa.array(cols["tier"], pa.string()),
             "bucket_ts": pa.array(cols["bucket_ts"], pa.timestamp("us")),
             "n_turns": pa.array(cols["n_turns"], pa.int64()),
@@ -183,7 +190,9 @@ def _path_dataset(files: list[str]) -> rd.Dataset:
     ``paths``.
 
     Mapped with ``batch_size=1`` it guarantees exactly one fn call per
-    group of whole files, so a conversation is never split. (read_parquet
+    group of whole files, so a conversation is never split; one call
+    holds its group's turns at once, so the byte bound also bounds its
+    memory. (read_parquet
     + override_num_blocks is only a hint: Ray's dynamic block splitting
     can still cut a file — and therefore a conversation — across blocks,
     which silently breaks the window contract; observed on the
@@ -207,11 +216,30 @@ def _path_dataset(files: list[str]) -> rd.Dataset:
     return paths
 
 
-def _rollup_file(path: str, cfg: RollupConfig) -> pa.Table:
-    """Rollup rows of one conversation-partitioned transcript file."""
+def _rollup_group(paths: list[str], cfg: RollupConfig) -> tuple[pa.Table, np.ndarray]:
+    """Rollup rows of a group of whole files from ONE ``_rollup_table``
+    call (each file read and projected alone, so its ``text`` goes before
+    the next read), and each row's index in ``paths``. Rows are
+    tier-major and, within a tier, in file order. A conversation in two
+    files raises ``ValueError``."""
     _pin_arrow_threads()
-    turns = pq.read_table(path, columns=TRANSCRIPT_READ_COLUMNS)
-    return _rollup_table(project_turns(turns), cfg)
+    turns = [
+        project_turns(pq.read_table(p, columns=TRANSCRIPT_READ_COLUMNS))
+        for p in paths
+    ]
+    ids = [pc.unique(t["conv_id"]) for t in turns]
+    file_of = np.repeat(np.arange(len(paths)), [len(u) for u in ids])
+    ids = pa.concat_arrays(ids)
+    first = pc.index_in(ids, value_set=ids).to_numpy()
+    seen = first != np.arange(len(ids))
+    if seen.any():
+        i = seen.argmax()
+        raise ValueError(
+            f"conversation {ids[i].as_py()!r} is in both "
+            f"{paths[file_of[first[i]]]} and {paths[file_of[i]]}"
+        )
+    rollup = _rollup_table(pa.concat_tables(turns), cfg)
+    return rollup, file_of[pc.index_in(rollup["conv_id"], value_set=ids).to_numpy()]
 
 
 def rollup_files_colocated(
@@ -223,18 +251,18 @@ def rollup_files_colocated(
     file (the synthesizer guarantees this; a production ingest at 10^12
     turns would bucket-by-conv at write time for exactly this reason —
     it converts the one big all-to-all exchange into embarrassingly
-    parallel per-file work). One task per group of whole files (see
-    ``_path_dataset``) reads, projects and rolls up all tiers of each of
-    its files; ``fused_rollup_encode_colocated`` also encodes the blocks
-    in the same task.
+    parallel per-file work); a conversation in two files of one group
+    raises ``ValueError``. One task per group of whole files (see
+    ``_path_dataset``) rolls up all tiers of the group in one call
+    (``_rollup_group``); ``fused_rollup_encode_colocated`` runs the same
+    body and also checkpoints and encodes in the same task.
 
     For unpartitioned inputs use ``rollup_dataset``, which pays the hash
     shuffle to establish the same co-location.
     """
 
-    def read_project_rollup(batch: pa.Table):
-        for path in batch["paths"][0].as_py():
-            yield _rollup_file(path, cfg)
+    def read_project_rollup(batch: pa.Table) -> pa.Table:
+        return _rollup_group(batch["paths"][0].as_py(), cfg)[0]
 
     return _path_dataset(files).map_batches(
         read_project_rollup, batch_format="pyarrow", batch_size=1
@@ -249,34 +277,43 @@ def fused_rollup_encode_colocated(
 ) -> rd.Dataset:
     """Single-pass flagship for conversation-partitioned layouts.
 
-    Each task takes one group of whole files (see ``_path_dataset``), and
-    for each file: read -> project -> all-tier rollup -> CHECKPOINT the
-    rollup rows itself (atomic tmp+rename, hive-partitioned by tier, one
-    file per (input file, tier)) -> yield the gap-filled compressed
-    blocks. One map stage, zero Dataset barriers — the returned Dataset
-    streams blocks straight into its sink while later files are still
-    being read. The side-effect write is idempotent (same input file ->
-    same output path), so Ray task retries and resumes are safe.
+    Each task takes one group of whole files (see ``_path_dataset``) and
+    runs one body over the group: read + project each file -> one
+    all-tier rollup (``_rollup_group``) -> CHECKPOINT the rollup rows
+    itself (atomic tmp+rename, hive-partitioned by tier, one file per
+    (input file, tier)) -> one encode into gap-filled compressed blocks.
+    One map stage, zero Dataset barriers — the returned Dataset streams
+    blocks straight into its sink while other groups are still running.
+    The side-effect write is idempotent (same input file -> same output
+    path, whatever the grouping), so Ray task retries and resumes are
+    safe.
     """
     encode_fn = make_partition_encode_fn(enc_cfg)
 
-    def task(batch: pa.Table):
+    def task(batch: pa.Table) -> pa.Table:
         # batch_size=1 below: each call sees exactly one file group
-        for src in batch["paths"][0].as_py():
+        paths = batch["paths"][0].as_py()
+        rollup, f = _rollup_group(paths, cfg)
+        tiers = rollup["tier"].to_numpy(zero_copy_only=False)
+        # tier-major rows in file order: each (file, tier) is one slice
+        new = np.ones(f.size, dtype=bool)
+        new[1:] = (f[1:] != f[:-1]) | (tiers[1:] != tiers[:-1])
+        bounds = np.append(np.flatnonzero(new), f.size)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            src = paths[f[lo]]
             # stem alone collides for equal basenames in different dirs —
             # whichever task finished last would silently overwrite the
             # other's rollup checkpoint; salt with a path digest
             stem = Path(src).stem + "-" + hashlib.sha1(src.encode()).hexdigest()[:8]
-            rollup = _rollup_file(src, cfg)
-            tiers = rollup["tier"].to_numpy(zero_copy_only=False)
-            for tier in dict.fromkeys(tiers.tolist()):
-                sub = rollup.filter(pa.array(tiers == tier))
-                d = Path(rows_out_dir) / f"tier={tier}"
-                d.mkdir(parents=True, exist_ok=True)
-                tmp = d / f".{stem}.parquet.tmp"
-                pq.write_table(sub.drop_columns(["tier"]), tmp)
-                os.replace(tmp, d / f"{stem}.parquet")
-            yield encode_fn(rollup)
+            d = Path(rows_out_dir) / f"tier={tiers[lo]}"
+            d.mkdir(parents=True, exist_ok=True)
+            tmp = d / f".{stem}.parquet.tmp"
+            pq.write_table(
+                rollup.slice(lo, hi - lo).drop_columns(["tier"]), tmp,
+                use_dictionary=["conv_id"],
+            )
+            os.replace(tmp, d / f"{stem}.parquet")
+        return encode_fn(rollup)
 
     return _path_dataset(files).map_batches(
         task, batch_format="pyarrow", batch_size=1

@@ -264,17 +264,46 @@ def test_file_groups_pack_largest_first_under_the_byte_bound(tmp_path):
     assert _file_groups([], 0, None) == []
 
 
-@pytest.mark.parametrize("layout", ["hot", "few", "one", "zero"])
-def test_grouped_plans_match_in_process(ray_session, tmp_path, layout):
+def _per_file_checkpoint(files: list[str], cfg) -> dict[str, pd.DataFrame]:
+    """The rollup checkpoint a per-file body writes: one frame per
+    (input file, tier), keyed by its path under the rows dir."""
+    import hashlib
+    from pathlib import Path
+
+    import pyarrow.parquet as pq
+
+    from eristropy_ray.pipelines.rollup import TRANSCRIPT_READ_COLUMNS, _rollup_table
+    from eristropy_ray.stages.project import project_turns
+
+    out = {}
+    for f in files:
+        rows = _rollup_table(
+            project_turns(pq.read_table(f, columns=TRANSCRIPT_READ_COLUMNS)), cfg
+        ).to_pandas()
+        stem = Path(f).stem + "-" + hashlib.sha1(f.encode()).hexdigest()[:8]
+        for tier, g in rows.groupby("tier", sort=False):
+            out[f"tier={tier}/{stem}.parquet"] = g.drop(columns="tier").reset_index(drop=True)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["hot", "few", "one", "zero", "empty_file"])
+def test_grouped_plans_match_in_process(ray_session, tmp_path, monkeypatch, layout):
     """The colocated plans run min(files, CPUs) map tasks over groups of
-    whole files, and their rows and blocks equal an in-process rollup and
-    a per-file encode of the same files."""
+    whole files, each making one ``rollup_windows`` call for its group.
+    Their rows, blocks and rollup checkpoint equal a per-file rollup and
+    encode of the same files: the same checkpoint file names, and the
+    same rows in each."""
+    import os
+
     import pyarrow as pa
     import pyarrow.parquet as pq
     import ray
 
+    from eristropy_ray.pipelines import rollup as rollup_mod
     from eristropy_ray.pipelines.rollup import (
         TRANSCRIPT_READ_COLUMNS,
+        _path_dataset,
+        _rollup_group,
         _rollup_table,
         fused_rollup_encode_colocated,
         rollup_files_colocated,
@@ -284,21 +313,45 @@ def test_grouped_plans_match_in_process(ray_session, tmp_path, layout):
     from eristropy_ray.stages.project import project_turns
 
     cpus = int(ray.cluster_resources()["CPU"])
-    # "hot": one file holds a conversation 30x the mean
-    n = {"hot": 4 * cpus, "few": cpus - 1, "one": 1, "zero": 0}[layout]
+    # "hot": one file holds a conversation 30x the mean; "empty_file":
+    # CPUs + 1 files, one of them with zero rows
+    n = {"hot": 4 * cpus, "few": cpus - 1, "one": 1, "zero": 0, "empty_file": cpus}[layout]
     files = []
     if n:
         d = synthesize_transcripts(
             tmp_path / "tx", n_convs=2 * n, mean_turns=20, n_files=n, hot_factor=30
         )
         files = sorted(glob.glob(f"{d}/*.parquet"))
-    assert len(files) == n
+    if layout == "empty_file":
+        empty = str(tmp_path / "tx" / "empty.parquet")
+        pq.write_table(pq.read_table(files[0]).slice(0, 0), empty)
+        files = sorted(files + [empty])
+    assert len(files) == n + (layout == "empty_file")
     cfg = RollupConfig()
     rows = rollup_files_colocated(files, cfg).materialize()
-    blocks = fused_rollup_encode_colocated(files, str(tmp_path / "rows"), cfg).materialize()
-    assert _map_tasks(rows) == _map_tasks(blocks) == min(n, cpus)
-    # the checkpoint keeps one file per (input file, tier)
-    assert len(glob.glob(f"{tmp_path}/rows/tier=*/*.parquet")) == n * len(cfg.tiers)
+    out = tmp_path / "rows"
+    blocks = fused_rollup_encode_colocated(files, str(out), cfg).materialize()
+    groups = [r["paths"] for r in _path_dataset(files).take_all()]
+    assert _map_tasks(rows) == _map_tasks(blocks) == len(groups) == min(len(files), cpus)
+
+    calls = []
+    windows = rollup_mod.rollup_windows
+    monkeypatch.setattr(
+        rollup_mod, "rollup_windows", lambda *a, **k: calls.append(1) or windows(*a, **k)
+    )
+    for g in groups:
+        _rollup_group(list(g), cfg)
+    assert len(calls) == len(groups)
+
+    want = _per_file_checkpoint(files, cfg)
+    got = sorted(
+        os.path.relpath(f, out) for f in glob.glob(f"{out}/tier=*/*.parquet")
+    )
+    assert got == sorted(want)
+    for name in got:
+        pd.testing.assert_frame_equal(
+            pq.read_table(out / name).to_pandas(), want[name], check_exact=True
+        )
     if not n:
         assert rows.count() == blocks.count() == 0
         return
@@ -314,6 +367,79 @@ def test_grouped_plans_match_in_process(ray_session, tmp_path, layout):
         want.to_pandas().sort_values(keys).reset_index(drop=True),
         check_exact=True,
     )
+
+
+def test_conversation_split_across_files_raises(tmp_path):
+    """A group whose files share a conversation id fails loudly, naming
+    the id and both files, instead of rolling up duplicate windows."""
+    import re
+
+    import pyarrow.parquet as pq
+
+    from eristropy_ray.pipelines.rollup import _rollup_group
+    from eristropy_ray.sources.transcripts import fixture_transcripts
+
+    t = fixture_transcripts()
+    conv = t["conv_id"].to_pylist()
+    # the fixture's rows come conversation by conversation: the second
+    # conversation's first turn goes to a, its other turns to b
+    k = conv.count(conv[0])
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(t.slice(0, k + 1), a)
+    pq.write_table(t.slice(k + 1), b)
+    shared = conv[k]
+    assert conv[k + 1] == shared
+    with pytest.raises(ValueError, match=re.escape(f"'{shared}' is in both {a} and {b}")):
+        _rollup_group([a, b], RollupConfig())
+
+
+@pytest.mark.parametrize("case", ["zero", "one_conv", "non_ascii", "digits", "null"])
+def test_rollup_table_codes_match_strings(case):
+    """``_rollup_table`` hands ``rollup_windows`` dictionary codes, not
+    strings: its rows equal a ``rollup_windows`` call on the string ids,
+    in the same order, and an empty input gives the same typed table."""
+    import pyarrow as pa
+
+    from eristropy_ray.pipelines.rollup import _rollup_table
+    from eristropy_ray.stages.windows import ROLLUP_COLUMNS, rollup_windows
+
+    rng = np.random.default_rng(3)
+    ids = {
+        "zero": [],
+        "one_conv": ["c"] * 40,
+        "non_ascii": ["ü", "会話", "😀", "u"] * 15,
+        "digits": ["1", "01", "001", "10"] * 15,
+        "null": ["a", None, "b"] * 20,
+    }[case]
+    n = len(ids)
+    t = pa.table(
+        {
+            "conv_id": pa.array(ids, pa.string()),
+            "turn_idx": pa.array(np.arange(n), pa.int64()),
+            "ts": pa.array(
+                1_700_000_000_000_000 + rng.integers(0, 3 * 86_400_000_000, n),
+                pa.timestamp("us"),
+            ),
+            "value": pa.array(rng.integers(1, 9, n).astype(float)),
+        }
+    )
+    cols = rollup_windows(
+        np.array(ids, dtype=object), np.arange(n),
+        t["ts"].cast(pa.int64()).to_numpy(), t["value"].to_numpy(), RollupConfig(),
+    )
+    want = pa.table(
+        {
+            "conv_id": pa.array(cols["conv_id"], pa.string()),
+            "tier": pa.array(cols["tier"], pa.string()),
+            "bucket_ts": pa.array(cols["bucket_ts"], pa.timestamp("us")),
+            "n_turns": pa.array(cols["n_turns"], pa.int64()),
+            **{c: pa.array(cols[c], pa.float64()) for c in ROLLUP_COLUMNS[4:]},
+        }
+    )
+    got = _rollup_table(t, RollupConfig())
+    assert got.schema == want.schema
+    assert (got.num_rows > 0) == (n > 0)
+    pd.testing.assert_frame_equal(got.to_pandas(), want.to_pandas(), check_exact=True)
 
 
 def test_path_dataset_bounds_group_bytes(ray_session, tmp_path):
