@@ -1834,8 +1834,9 @@ def _user_day_key(t: pa.Table) -> np.ndarray:
 def q_anti_join(sf_dir: str, m_bits: int = 1 << 17):
     """Anti-join — the complement of ``q_bloom_semijoin``: click events
     on (user, day) pairs with NO purchase by that user that day
-    (completing the join family: inner `order_segments_join`,
-    broadcast-dim `orders_by_segment`, as-of `asof_purchase_click`,
+    (completing the join family: co-partitioned inner
+    `order_segments_join` on one exchange, broadcast-dim
+    `orders_by_segment`, as-of `asof_purchase_click`,
     range `clicks_before_purchase` / `band_join`, semi `bloom_semijoin`,
     anti here). Day-scoped because the dense synthetic corpus gives
     every user every event type — a user-only anti-join is degenerately
@@ -2401,32 +2402,17 @@ def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
     """One HLL register row per event_type of the batch."""
     from eristropy_ray.datapipe.sketch import hll_partial
 
-    if b.num_rows == 0:
-        return pa.table(
-            {
-                "event_type": pa.array([], pa.string()),
-                "regs": pa.array([], pa.binary()),
-            }
-        )
     # one lexsort, then hll_partial over contiguous type segments
     # (cardinality of event_type is tiny; no per-row pandas groupby)
     et = b["event_type"].to_numpy(zero_copy_only=False)
     uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
     order = np.argsort(et, kind="stable")
     et, uid = et[order], uid[order]
-    starts = segment_starts(et)
-    bounds = np.append(starts, et.size)
+    bounds = np.append(segment_starts(et), et.size)
+    regs = [hll_partial(uid[a:z], p).tobytes() for a, z in zip(bounds, bounds[1:])]
     return pa.table(
-        {
-            "event_type": pa.array(et[starts], pa.string()),
-            "regs": pa.array(
-                [
-                    hll_partial(uid[bounds[i] : bounds[i + 1]], p).tobytes()
-                    for i in range(starts.size)
-                ],
-                pa.binary(),
-            ),
-        }
+        {"event_type": pa.array(et[bounds[:-1]], pa.string()),
+         "regs": pa.array(regs, pa.binary())}
     )
 
 
@@ -2434,32 +2420,21 @@ def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
     """(event_type, bucket, n) HDR summary rows of the batch."""
     from eristropy_ray.datapipe.sketch import hdr_partial
 
-    if b.num_rows == 0:
-        return pa.table(
-            {
-                "event_type": pa.array([], pa.string()),
-                "bucket": pa.array([], pa.int64()),
-                "n": pa.array([], pa.int64()),
-            }
-        )
     # one lexsort, hdr_partial per contiguous type segment
     et = b["event_type"].to_numpy(zero_copy_only=False)
     val = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
     order = np.argsort(et, kind="stable")
     et, val = et[order], val[order]
-    starts = segment_starts(et)
-    bounds = np.append(starts, et.size)
-    bs, ns, types = [], [], []
-    for i in range(starts.size):
-        bk, c = hdr_partial(val[bounds[i] : bounds[i + 1]], m)
-        bs.append(bk)
-        ns.append(c)
-        types.append(np.full(bk.size, et[starts[i]], dtype=object))
+    bounds = np.append(segment_starts(et), et.size)
+    parts = [hdr_partial(val[a:z], m) for a, z in zip(bounds, bounds[1:])]
+    empty = np.empty(0, np.int64)
     return pa.table(
         {
-            "event_type": pa.array(np.concatenate(types).astype(str), pa.string()),
-            "bucket": pa.array(np.concatenate(bs).astype(np.int64), pa.int64()),
-            "n": pa.array(np.concatenate(ns).astype(np.int64), pa.int64()),
+            "event_type": pa.array(
+                np.repeat(et[bounds[:-1]], [bk.size for bk, _ in parts]), pa.string()
+            ),
+            "bucket": pa.array(np.concatenate([empty, *(bk for bk, _ in parts)])),
+            "n": pa.array(np.concatenate([empty, *(c for _, c in parts)])),
         }
     )
 
@@ -2467,25 +2442,31 @@ def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
 def q_distinct_users_approx(sf_dir: str, p: int = 12):
     """HyperLogLog distinct users per event_type (rows-only; the error
     bound vs the exact count is pinned in tests). Each batch reduces to
-    one 2^p-byte register row per event_type; merge is an elementwise
-    max inside one tiny groupby."""
+    one 2^p-byte register row per event_type; a ``fold`` merges each
+    type's registers by elementwise max, and the driver estimates."""
     from eristropy_ray.datapipe.sketch import hll_estimate, hll_merge
 
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "user_id"])
+    schema = pa.schema([("event_type", pa.string()), ("regs", pa.binary())])
 
-    def merge(df: pd.DataFrame) -> pd.DataFrame:
-        regs = hll_merge([np.frombuffer(b, dtype=np.uint8) for b in df["regs"]])
-        return pd.DataFrame(
-            {
-                "event_type": [df["event_type"].iloc[0]],
-                "n_users_approx": [float(hll_estimate(regs))],
-            }
+    def merge_registers(parts: list[pa.Table]) -> pa.Table:
+        t = pa.concat_tables([schema.empty_table(), *parts]).sort_by("event_type")
+        et = t["event_type"].to_numpy(zero_copy_only=False)
+        regs = [np.frombuffer(r, dtype=np.uint8) for r in t["regs"].to_pylist()]
+        bounds = np.append(segment_starts(et), et.size)
+        merged = [hll_merge(regs[a:z]).tobytes() for a, z in zip(bounds, bounds[1:])]
+        return pa.table(
+            {"event_type": pa.array(et[bounds[:-1]], pa.string()),
+             "regs": pa.array(merged, pa.binary())}
         )
 
-    return (
-        ds.map_batches(_hll_partial_by_type, batch_format="pyarrow", fn_args=(p,))
-        .groupby("event_type")
-        .map_groups(merge, batch_format="pandas")
+    t = fold(ds, lambda b: _hll_partial_by_type(b, p), merge_registers)
+    regs = [np.frombuffer(r, dtype=np.uint8) for r in t["regs"].to_pylist()]
+    return pd.DataFrame(
+        {
+            "event_type": t["event_type"].to_numpy(zero_copy_only=False),
+            "n_users_approx": np.array([hll_estimate(r) for r in regs], np.float64),
+        }
     )
 
 
@@ -2496,38 +2477,36 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     sketch twin of exact ``doc_len_quantiles`` for UNBOUNDED positive
     double domains, completing the sketch family: HLL (distinct),
     Misra-Gries (heavy hitters), Bloom (membership), HDR (quantiles).
-    Each batch folds to one (event_type, bucket, n) summary whose size
-    is bounded by the occupied buckets, not the row count. Because the
-    counts form a commutative monoid AND ``hdr_quantiles`` ranks via a
-    cumulative sum (duplicate bucket ids contribute identically to an
-    explicit pre-sum), the partials need NO summing aggregate — one
-    hash shuffle colocates each event_type's few thousand summary rows
-    and the finish consumes them directly."""
+    Each block folds to one (event_type, bucket, n) summary whose size
+    is bounded by the occupied buckets, not the row count; a
+    ``fold_by`` sums the counts per (event_type, bucket) — event types
+    are a bounded domain — and the driver ranks each type's histogram
+    with ``hdr_quantiles``."""
     from eristropy_ray.datapipe.sketch import hdr_quantiles
 
     ds = _read(f"{sf_dir}/events.parquet", columns=["event_type", "value"])
     qs = np.array([0.25, 0.5, 0.75, 0.99])
-
-    def finish(df: pd.DataFrame) -> pd.DataFrame:
-        est = hdr_quantiles(
-            df["bucket"].to_numpy(np.int64), df["n"].to_numpy(np.int64), qs, m
-        )
-        return pd.DataFrame(
-            {
-                "event_type": df["event_type"].iloc[0],
-                "q": qs,
-                "value_approx": est,
-            }
-        )
-
-    return (
-        # batch_size=None: fold whole blocks — the summary is bucket-
-        # bounded, so bigger batches mean strictly fewer partial rows.
-        ds.map_batches(
-            _hdr_partial_by_type, batch_format="pyarrow", batch_size=None, fn_args=(m,)
-        )
-        .groupby("event_type")
-        .map_groups(finish, batch_format="pandas")
+    schema = pa.schema(
+        [("event_type", pa.string()), ("bucket", pa.int64()), ("n", pa.int64())]
+    )
+    # batch_size=None: fold whole blocks — the summary is bucket-
+    # bounded, so bigger batches mean strictly fewer partial rows.
+    partials = ds.map_batches(
+        _hdr_partial_by_type, batch_format="pyarrow", batch_size=None, fn_args=(m,)
+    )
+    t = fold_by(partials, ["event_type", "bucket"], {"n": "sum"}, schema).sort_by(
+        "event_type"
+    )
+    et = t["event_type"].to_numpy(zero_copy_only=False)
+    bucket, n = t["bucket"].to_numpy(), t["n"].to_numpy()
+    bounds = np.append(segment_starts(et), et.size)
+    est = [hdr_quantiles(bucket[a:z], n[a:z], qs, m) for a, z in zip(bounds, bounds[1:])]
+    return pd.DataFrame(
+        {
+            "event_type": np.repeat(et[bounds[:-1]], qs.size),
+            "q": np.tile(qs, len(est)),
+            "value_approx": np.array(est, dtype=np.float64).reshape(-1),
+        }
     )
 
 
@@ -2660,8 +2639,10 @@ def q_top_users(sf_dir: str, k: int = 10):
 def q_orders_by_segment(sf_dir: str):
     """Broadcast hash join: orders x customer (small side shipped once via
     ray.put), then exact-decimal revenue per market segment — the A3-style
-    broadcast-join pattern generalized to a dimension lookup. As in the
-    SQL inner join, an order whose customer is missing is dropped."""
+    broadcast-join pattern generalized to a dimension lookup, with no
+    exchange (contrast ``order_segments_join``, which exchanges both
+    sides when neither fits a broadcast). As in the SQL inner join, an
+    order whose customer is missing is dropped."""
     import pyarrow.parquet as pq
     import ray
 
@@ -2717,40 +2698,40 @@ def q_orders_by_segment(sf_dir: str):
 
 
 def q_order_segments_join(sf_dir: str):
-    """Distributed hash join (``Dataset.join``) of orders x customer —
-    the LARGE-x-large join surface (contrast ``orders_by_segment``, the
-    broadcast map-side variant for small dims): both sides hash-shuffle
-    on the key, so this is the plan when neither side fits a broadcast.
-    Emits one row per order with its market segment; exact SQL twin."""
+    """Co-partitioned hash join of orders x customer — the LARGE-x-large
+    join surface (contrast ``orders_by_segment``, the broadcast map-side
+    variant for small dims): both sides are tagged with one schema (the
+    int64 ``key``, a side flag, the other side's columns as typed
+    nulls), unioned, and ONE ``exchange`` on ``key`` hands every
+    partition both sides of its keys, which an Arrow inner join pairs.
+    This is the plan when neither side fits a broadcast. As in SQL, a
+    null key never matches. Emits one row per order with its market
+    segment; exact SQL twin."""
+    types = {"o_orderkey": pa.int64(), "o_totalprice": pa.float64(),
+             "c_mktsegment": pa.string()}
+
+    def tag(b: pa.Table, key: str) -> pa.Table:
+        n = b.num_rows
+        cols = {"key": pc.cast(b[key], pa.int64()),
+                "is_order": pa.array(np.full(n, key == "o_custkey"))}
+        for c, t in types.items():
+            cols[c] = pc.cast(b[c], t) if c in b.column_names else pa.nulls(n, t)
+        return pa.table(cols)
+
+    def join_partition(t: pa.Table) -> pa.Table:
+        is_order = t["is_order"]
+        o = t.filter(is_order).select(["key", "o_orderkey", "o_totalprice"])
+        c = t.filter(pc.invert(is_order)).select(["key", "c_mktsegment"])
+        j = o.join(c, "key", join_type="inner", use_threads=False)
+        return j.select(["o_orderkey", "c_mktsegment", "o_totalprice"])
+
     orders = _read(
         f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey", "o_totalprice"]
-    )
+    ).map_batches(tag, batch_format="pyarrow", fn_args=("o_custkey",))
     cust = _read(
         f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
-    # partition count scales with the BIG side (~50k rows/partition,
-    # floor 8) from parquet footers — a constant would bottleneck each
-    # partition at 1/k of the orders table regardless of cluster size
-    n_orders = _parquet_rows(f"{sf_dir}/orders.parquet")
-    if n_orders == 0 or _parquet_rows(f"{sf_dir}/customer.parquet") == 0:
-        # Ray's hash join fails on a side with no blocks; the join is empty
-        return pd.DataFrame(columns=["o_orderkey", "c_mktsegment", "o_totalprice"]
-                            ).astype({"o_orderkey": "int64", "o_totalprice": "float64"})
-    joined = orders.join(
-        cust, "inner", num_partitions=max(8, n_orders // 50_000),
-        on=("o_custkey",), right_on=("c_custkey",),
-    )
-
-    def project(b: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "o_orderkey": pc.cast(b["o_orderkey"], pa.int64()),
-                "c_mktsegment": b["c_mktsegment"],
-                "o_totalprice": b["o_totalprice"],
-            }
-        )
-
-    return joined.map_batches(project, batch_format="pyarrow")
+    ).map_batches(tag, batch_format="pyarrow", fn_args=("c_custkey",))
+    return exchange(orders.union(cust), "key", join_partition, "pyarrow")
 
 
 def q_sessions(sf_dir: str):

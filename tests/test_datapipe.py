@@ -840,14 +840,13 @@ def test_distinct_users_approx_close_to_exact(ray_session):
         q_distinct_users,
         q_distinct_users_approx,
     )
+    from tools.check_oracle import to_pandas
 
     sf = "/root/testdata/sf0.01"
     exact = q_distinct_users(sf).set_index("event_type")["n_users"]
-    approx = (
-        q_distinct_users_approx(sf)
-        .to_pandas()
-        .set_index("event_type")["n_users_approx"]
-    )
+    approx = to_pandas(q_distinct_users_approx(sf)).set_index("event_type")[
+        "n_users_approx"
+    ]
     assert set(exact.index) == set(approx.index)
     for et in exact.index:
         rel = abs(approx[et] - exact[et]) / max(exact[et], 1)
@@ -1288,9 +1287,10 @@ def test_value_quantiles_hdr_query(ray_session):
     import pyarrow.parquet as pq
 
     from eristropy_ray.pipelines.queries import q_value_quantiles_hdr
+    from tools.check_oracle import to_pandas
 
     sf = "/root/testdata/sf0.001"
-    got = q_value_quantiles_hdr(sf).to_pandas()
+    got = to_pandas(q_value_quantiles_hdr(sf))
     ev = pq.read_table(
         f"{sf}/events.parquet", columns=["event_type", "value"]
     ).to_pandas()
@@ -1780,12 +1780,21 @@ def test_sketch_partials_zero_row_batch():
     assert hll.schema == pa.schema([("event_type", pa.string()), ("regs", pa.binary())])
 
 
-@pytest.mark.parametrize("query", ["q_value_quantiles_hdr", "q_distinct_users_approx"])
+SKETCH_DTYPES = {
+    "q_value_quantiles_hdr":
+        {"event_type": "object", "q": "float64", "value_approx": "float64"},
+    "q_distinct_users_approx": {"event_type": "object", "n_users_approx": "float64"},
+}
+
+
+@pytest.mark.parametrize("query", list(SKETCH_DTYPES))
 def test_sketch_queries_zero_row_events(ray_session, tmp_path, query):
-    """A zero-row events table gives an empty result."""
+    """A zero-row events table gives an empty result with the entry's
+    columns and dtypes."""
     import pyarrow.parquet as pq
 
     from eristropy_ray.pipelines import queries
+    from tools.check_oracle import to_pandas
 
     events = pa.table(
         {
@@ -1798,4 +1807,6 @@ def test_sketch_queries_zero_row_events(ray_session, tmp_path, query):
         }
     )
     pq.write_table(events, tmp_path / "events.parquet")
-    assert len(getattr(queries, query)(str(tmp_path)).to_pandas()) == 0
+    got = to_pandas(getattr(queries, query)(str(tmp_path)))
+    assert len(got) == 0
+    assert list(got.dtypes.astype(str).items()) == list(SKETCH_DTYPES[query].items())

@@ -6,10 +6,16 @@ or its identity, and the registry entries built on them match their DuckDB twins
 degenerate tables (zero rows, one row, one user, one hot user); the
 rows-only per-signal entries return typed results on the same tables and
 on ~17-event users, and so do the bucketed near-dup entries on empty
-ones."""
+ones. The co-partitioned join finishes in a fresh 1-CPU session and
+never matches a null key."""
 
 from __future__ import annotations
 
+import contextlib
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +286,66 @@ def test_migrated_entries_match_oracle_on_degenerate_tables(
         if verdict != "OK":
             bad[name] = verdict
     assert not bad, bad
+
+
+_JOIN_IN_FRESH_SESSION = """
+import sys, duckdb, ray
+ray.init(address="local", num_cpus=1, object_store_memory=256 << 20,
+         include_dashboard=False, logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
+from tools.check_oracle import compare, to_pandas
+name, sf = "order_segments_join", sys.argv[1]
+con = duckdb.connect()
+for t in ("orders", "customer"):
+    con.execute(f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf}/{t}.parquet')")
+want = con.execute(ORACLE_SQL[name]).df()
+print("VERDICT", compare(name, to_pandas(QUERIES[name](sf)), want))
+ray.shutdown()
+"""
+
+
+def test_order_segments_join_finishes_in_one_cpu_session(sf_tiny):
+    """The join completes in a fresh 1-CPU session and equals its twin.
+    The child owns that session in its own process group, which is
+    killed whole on timeout (or after a clean exit), so no Ray process
+    outlives the test."""
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _JOIN_IN_FRESH_SESSION, sf_tiny],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root)},
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        out = None
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert out is not None, "order_segments_join did not finish in 120 s on 1 CPU"
+    assert "VERDICT OK" in out, out[-2000:]
+
+
+def test_order_segments_join_never_matches_null_keys(ray_session, sf_tiny, tmp_path):
+    """SQL inner-join nulls: 5 % of the orders' and of the customers'
+    keys are null, and no null key joins (not even to a null key)."""
+    from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
+    from tools.check_oracle import compare, to_pandas
+
+    rng = np.random.default_rng(23)
+    for name, key in [("orders", "o_custkey"), ("customer", "c_custkey")]:
+        t = pq.read_table(f"{sf_tiny}/{name}.parquet")
+        null = rng.random(t.num_rows) < 0.05
+        i = t.schema.get_field_index(key)
+        keys = pa.array(t[key].to_numpy(), t.schema.field(key).type, mask=null)
+        pq.write_table(t.set_column(i, key, keys), tmp_path / f"{name}.parquet")
+    name, sf = "order_segments_join", str(tmp_path)
+    want = _oracle_views(sf, ["orders", "customer"]).execute(ORACLE_SQL[name]).df()
+    assert 0 < len(want) < pq.read_metadata(f"{sf}/orders.parquet").num_rows
+    assert compare(name, to_pandas(QUERIES[name](sf)), want) == "OK"
 
 
 # rows-only per-signal entries -> (columns, one row per signal with at
