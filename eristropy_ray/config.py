@@ -39,8 +39,6 @@ class RollupConfig:
         preprocess: "difference" applies first-differencing before the
            headline entropy columns (the reference's stationarity
            preprocessing, stationarity.py:237-241); "none" uses raw values.
-        num_partitions: hash-bucket count for the bucketed rollup plan
-           (0 = derive from data size / CPU count at run time).
         lateness_us: allowed lateness for the (conversation, day)-local
            watermark — turns older than (max ts in their conv-day) minus
            this are dropped before windowing. None (default) accepts
@@ -56,7 +54,6 @@ class RollupConfig:
     min_window: int = 4
     max_window_points: int = 2048
     preprocess: str = "difference"
-    num_partitions: int = 0
     lateness_us: int | None = None
 
     def __post_init__(self) -> None:

@@ -33,6 +33,8 @@ keys, vectorizing inside. This module owns that pattern:
   partials, then one final combine on the driver. ``fold_by`` is the
   group-by of a bounded key domain as such a fold: it skips the
   exchange, whose operators cost more than a small result saves.
+- ``top_k(ds, sort_keys, k, schema)``: the first ``k`` rows in a sort
+  order as a ``fold`` of heads, so no row moves between tasks.
 """
 
 from __future__ import annotations
@@ -192,3 +194,19 @@ def fold_by(
         return segment_reduce(pa.concat_tables(parts), keys, aggs, partial=False)
 
     return fold(ds, partial, combine)
+
+
+def top_k(
+    ds: rd.Dataset, sort_keys: list[tuple[str, str]], k: int, schema: pa.Schema
+) -> pa.Table:
+    """The first ``k`` rows of ``ds`` in Arrow ``sort_keys`` order (nulls
+    last): a ``fold`` whose partial and combine keep the head of one
+    ``sort_indices`` order. It equals a sort and limit of the whole
+    table when the keys break every tie; ``schema`` types the result of
+    a zero-row ``ds``."""
+
+    def head(parts: list[pa.Table]) -> pa.Table:
+        t = pa.concat_tables(parts) if parts else schema.empty_table()
+        return t.take(pc.sort_indices(t, sort_keys=sort_keys)[:k])
+
+    return fold(ds, lambda b: head([b]), head)

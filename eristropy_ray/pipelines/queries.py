@@ -32,6 +32,7 @@ from eristropy_ray.pipelines.exchange import (
     partition_of,
     segment_rank,
     segment_starts,
+    top_k,
 )
 from eristropy_ray.stages.signals import (
     adf_partition,
@@ -96,6 +97,9 @@ def _events_signals(sf_dir: str) -> rd.Dataset:
 
 # ---------------------------------------------------------------- queries
 
+_USER_COUNTS = pa.schema([("user_id", pa.int64()), ("n_obs", pa.int64())])
+
+
 def _user_counts(sf_dir: str) -> rd.Dataset:
     """(user_id, n_obs) via per-batch collapse + keyed combine: the
     shuffle carries (users x blocks) partial rows, not one row per
@@ -128,10 +132,10 @@ def q_signal_counts(sf_dir: str):
 
 
 def q_min_signal_length(sf_dir: str):
-    """min group size guard (sample_entropy.py:106-111)."""
-    m = _user_counts(sf_dir).min("n_obs")  # None on an empty table
+    """min group size guard (sample_entropy.py:106-111), a ``top_k``."""
+    m = top_k(_user_counts(sf_dir), [("n_obs", "ascending")], 1, _USER_COUNTS)
     # MIN over zero groups is one NULL row, as in the SQL twin
-    return pd.DataFrame({"min_len": [np.nan if m is None else int(m)]})
+    return pd.DataFrame({"min_len": [m["n_obs"][0].as_py() if len(m) else np.nan]})
 
 
 def q_doc_len(sf_dir: str):
@@ -385,14 +389,9 @@ def q_quality_scores(sf_dir: str):
 
 def _first_ids(sf_dir: str, k: int) -> pd.DataFrame:
     """The ``k`` smallest vec_ids with a NaN sim (typed when empty)."""
-
-    def smallest(parts: list[pa.Table]) -> pa.Table:
-        ids = np.concatenate([np.empty(0, np.int64), *(t["vec_id"] for t in parts)])
-        return pa.table({"vec_id": pa.array(np.sort(ids)[:k], pa.int64())})
-
     ds = _read(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    ids = fold(ds, lambda b: smallest([b]), smallest)["vec_id"]
-    return pd.DataFrame({"vec_id": ids.to_numpy(), "sim": np.nan})
+    ids = top_k(ds, [("vec_id", "ascending")], k, pa.schema([("vec_id", pa.int64())]))
+    return pd.DataFrame({"vec_id": ids["vec_id"].to_numpy(), "sim": np.nan})
 
 
 def q_similarity_topk(sf_dir: str, k: int = 10):
@@ -401,8 +400,9 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
     The broadcast side is the SINGLE query vector (the correct
     small-side pattern); the row is fetched with a predicate-pushdown
     read so only the row groups whose vec_id range covers 0 leave
-    storage — no full-corpus driver read. Without that row every cosine
-    is NULL, as in the SQL twin: the first ``k`` ids with a NaN sim."""
+    storage — no full-corpus driver read; a ``top_k`` keeps the best
+    scores. Without that row every cosine is NULL, as in the SQL twin:
+    the first ``k`` ids with a NaN sim."""
     import pyarrow.parquet as pq
     import ray
 
@@ -430,21 +430,13 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
         emb = flat.reshape(n, flat.size // n) if n else flat.reshape(0, 0)
         norms = np.maximum(np.sqrt((emb * emb).sum(axis=1)), 1e-30)
         sims = np.round((emb @ q) / norms, 4)
-        ids = b["vec_id"].to_numpy()
-        # per-block top-k on the SAME key as the final sort, so the tiny
-        # merge below equals a global sort+limit without the all-to-all
-        head = np.lexsort((ids, -sims))[:k]
-        return pa.table(
-            {
-                "vec_id": pa.array(ids[head], pa.int64()),
-                "sim": pa.array(sims[head], pa.float64()),
-            }
-        )
+        vec_id = pc.cast(b["vec_id"], pa.int64())
+        return pa.table({"vec_id": vec_id, "sim": pa.array(sims, pa.float64())})
 
-    # merge of per-block heads: the sort input is num_blocks x k rows
     scored = ds.map_batches(score, batch_format="pyarrow")
-    top = scored.sort(["sim", "vec_id"], descending=[True, False]).limit(k)
-    return top
+    order = [("sim", "descending"), ("vec_id", "ascending")]
+    schema = pa.schema([("vec_id", pa.int64()), ("sim", pa.float64())])
+    return top_k(scored, order, k, schema).to_pandas()
 
 
 def q_sampen_per_signal(sf_dir: str):
@@ -1687,7 +1679,8 @@ def q_vocab_topk(sf_dir: str, k: int = 50):
     asc). The classic wordcount shape with the scalable pre-aggregation:
     per-batch word counts collapse each batch to its distinct words
     BEFORE the shuffle, so the exchange carries (word, partial-count)
-    rows, not one row per token. Exact SQL twin via unnest."""
+    rows, not one row per token; each word's total is complete in one
+    partition, so a ``top_k`` fold of them is exact. SQL twin via unnest."""
     ds = _read(f"{sf_dir}/documents.parquet", columns=["text"])
 
     def partial(b: pa.Table) -> pa.Table:
@@ -1707,15 +1700,11 @@ def q_vocab_topk(sf_dir: str, k: int = 50):
             }
         )
 
-    # each word's total is complete within one combine partition, so
-    # top-k of per-partition top-ks is exact — no all-to-all sort of the
-    # full vocabulary (word cardinality is corpus-scale at 100 TB)
-    def partition_topk(t: pa.Table) -> pa.Table:
-        return t.sort_by([("n", "descending"), ("word", "ascending")]).slice(0, k)
-
     partials = ds.map_batches(partial, batch_format="pyarrow")
-    counts = keyed_combine(partials, ["word"], {"n": "sum"}, partition_topk)
-    return counts.sort(["n", "word"], descending=[True, False]).limit(k)
+    counts = keyed_combine(partials, ["word"], {"n": "sum"})
+    order = [("n", "descending"), ("word", "ascending")]
+    schema = pa.schema([("word", pa.string()), ("n", pa.int64())])
+    return top_k(counts, order, k, schema).to_pandas()
 
 
 def _uid_key(t: pa.Table) -> np.ndarray:
@@ -2589,12 +2578,11 @@ def q_reservoir_sample(sf_dir: str, k: int = 1000):
     size (the "give me 10k examples from 100 TB" op; the fixed-RATE
     twin is ``sample_events``). Mergeable bottom-k sketch: every row
     gets the deterministic key splitmix64(event_id) — a bijection, so
-    distinct ids never tie — each block keeps its k smallest keys
-    vectorized (argpartition), and because bottom-k is a commutative,
-    associative, idempotent reduction, the global bottom-k of the
-    per-block survivors equals the bottom-k of the full table. The
-    final sort touches at most k x num_blocks summary rows, so shuffle
-    volume is corpus-size-independent. Rows-only: the 64-bit mix isn't
+    distinct ids never tie — and a ``top_k`` fold keeps the k smallest
+    keys of each batch, of each task's survivors and of all of them on
+    the driver. Bottom-k is a commutative, associative, idempotent
+    reduction, so that equals the bottom-k of the full table, and no
+    row moves between tasks. Rows-only: the 64-bit mix isn't
     SQL-expressible; exactness vs a single-pass local bottom-k and
     block-layout invariance are pinned in tests."""
     from eristropy_ray.datapipe.sketch import sample_key64
@@ -2604,12 +2592,8 @@ def q_reservoir_sample(sf_dir: str, k: int = 1000):
         columns=["event_id", "user_id", "ts", "value"],
     )
 
-    def bottomk(b: pa.Table) -> pa.Table:
-        ids = b["event_id"].to_numpy()
-        key = sample_key64(ids)
-        if ids.size > k:
-            sel = np.argpartition(key, k)[:k]
-            b, key = b.take(pa.array(sel)), key[sel]
+    def keyed(b: pa.Table) -> pa.Table:
+        key = sample_key64(b["event_id"].to_numpy())
         return pa.table(
             {
                 "sample_key": pa.array(key, pa.uint64()),
@@ -2620,20 +2604,19 @@ def q_reservoir_sample(sf_dir: str, k: int = 1000):
             }
         )
 
-    return (
-        ds.map_batches(bottomk, batch_format="pyarrow", batch_size=None)
-        .sort("sample_key")
-        .limit(k)
-    )
+    int64s = [(c, pa.int64()) for c in ("event_id", "user_id", "ts_us")]
+    schema = pa.schema([("sample_key", pa.uint64()), *int64s, ("value", pa.float64())])
+    keyed_rows = ds.map_batches(keyed, batch_format="pyarrow")
+    return top_k(keyed_rows, [("sample_key", "ascending")], k, schema).to_pandas()
 
 
 def q_top_users(sf_dir: str, k: int = 10):
     """Top-k users by observation count (count desc, user_id asc).
     Counts come from the partial-collapsed keyed combine; each user's
-    total is complete within one combine partition, so the final sort
-    touches per-user rows only."""
-    counts = _user_counts(sf_dir)
-    return counts.sort(["n_obs", "user_id"], descending=[True, False]).limit(k)
+    total is complete within one combine partition, so a ``top_k`` fold
+    over the per-user rows is exact and moves none of them."""
+    order = [("n_obs", "descending"), ("user_id", "ascending")]
+    return top_k(_user_counts(sf_dir), order, k, _USER_COUNTS).to_pandas()
 
 
 def q_orders_by_segment(sf_dir: str):
@@ -2711,6 +2694,7 @@ def q_order_segments_join(sf_dir: str):
              "c_mktsegment": pa.string()}
 
     def tag(b: pa.Table, key: str) -> pa.Table:
+        b = b.filter(pc.is_valid(b[key]))  # a null key never matches
         n = b.num_rows
         cols = {"key": pc.cast(b[key], pa.int64()),
                 "is_order": pa.array(np.full(n, key == "o_custkey"))}

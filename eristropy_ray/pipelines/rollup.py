@@ -89,8 +89,7 @@ def _cluster_cpus() -> int | None:
 
 
 def _default_partitions(cfg: RollupConfig) -> int:
-    if cfg.num_partitions:
-        return cfg.num_partitions
+    """Twice the session's CPUs, at least 16 (no ``cfg`` field sets it)."""
     return max(2 * (_cluster_cpus() or 8), 16)
 
 

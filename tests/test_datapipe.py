@@ -1483,7 +1483,7 @@ def test_reservoir_sample_query(ray_session):
 
     sf = "/root/testdata/sf0.001"
     k = 137
-    got = q_reservoir_sample(sf, k=k).to_pandas()
+    got = q_reservoir_sample(sf, k=k)
     ev = pq.read_table(f"{sf}/events.parquet").to_pandas()
     key = sample_key64(ev["event_id"].to_numpy(np.int64))
     order = np.argsort(key)[:k]

@@ -2,12 +2,14 @@
 and ``fold_by`` equal a one-pass pandas group-by bit for bit however
 rows are batched, null and string keys included, ``exchange`` hands each
 key's rows to one call without ``part``, ``fold`` reduces to one table
-or its identity, and the registry entries built on them match their DuckDB twins on
+or its identity, ``top_k`` equals one sort and head of the whole table,
+and the registry entries built on them match their DuckDB twins on
 degenerate tables (zero rows, one row, one user, one hot user); the
 rows-only per-signal entries return typed results on the same tables and
-on ~17-event users, and so do the bucketed near-dup entries on empty
-ones. The co-partitioned join finishes in a fresh 1-CPU session and
-never matches a null key."""
+on ~17-event users, and so do the bucketed near-dup and bounded-order
+entries on empty ones. The co-partitioned join finishes in a fresh
+1-CPU session, never matches a null key and sends none to its
+exchange."""
 
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from eristropy_ray.pipelines.exchange import (
     keyed_combine,
     partition_of,
     segment_reduce,
+    top_k,
 )
 
 KEYS = ["k1", "k2"]
@@ -193,6 +196,47 @@ def test_fold_reduces_to_one_table_and_empty_to_identity(ray_session):
     assert fold_by(empty, ["x"], {"n": "count"}, schema) == schema.empty_table()
 
 
+TOP_K_CASES = ["ascending", "descending", "ties", "k_one", "k_over_rows"]
+
+
+@pytest.mark.parametrize("case", TOP_K_CASES)
+def test_top_k_matches_one_pass_sort(ray_session, case):
+    """``top_k`` equals one pandas sort and head of the whole table
+    however rows are batched, zero-row batches included: both key
+    directions, ties on the first key broken by a string second key in
+    the other direction, ``k = 1`` and ``k`` past the row count. A
+    zero-row Dataset gives the typed empty table."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(TOP_K_CASES.index(case) + 11)
+    n = 2000
+    a = rng.integers(0, 6, n) if case in ("ties", "k_one") else rng.permutation(n)
+    t = pa.table(
+        {
+            "a": pa.array(a, pa.int64()),
+            "b": pa.array([f"w{i:05d}" for i in rng.permutation(n)], pa.string()),
+            "x": pa.array(rng.normal(size=n), pa.float64()),
+        }
+    )
+    first = "ascending" if case == "ascending" else "descending"
+    second = "descending" if case == "descending" else "ascending"
+    order = [("a", first), ("b", second)]
+    k = {"k_one": 1, "k_over_rows": n + 7}.get(case, 50)
+    want = t.to_pandas().sort_values(
+        ["a", "b"], ascending=[first == "ascending", second == "ascending"]
+    ).head(k).reset_index(drop=True)
+    for _ in range(3):  # a different batching each pass
+        cuts = np.sort(rng.choice(np.arange(1, n), size=9, replace=False))
+        bounds = np.r_[0, cuts, n]
+        parts = [t.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        parts.insert(int(rng.integers(0, len(parts))), t.slice(0, 0))
+        got = top_k(rd.from_arrow(parts), order, k, t.schema)
+        assert got.schema == t.schema
+        pd.testing.assert_frame_equal(got.to_pandas(), want, check_exact=True)
+    empty = rd.from_arrow(t.slice(0, 0))
+    assert top_k(empty, order, k, t.schema) == t.schema.empty_table()
+
+
 @pytest.mark.parametrize("kind", ["int", "str"])
 def test_exchange_hands_whole_keys_without_part(ray_session, kind):
     import ray.data as rd
@@ -329,23 +373,55 @@ def test_order_segments_join_finishes_in_one_cpu_session(sf_tiny):
     assert "VERDICT OK" in out, out[-2000:]
 
 
+def _null_join_keys(src: str, dst: Path, frac: float) -> str:
+    """orders and customer with ``frac`` of each side's join key null."""
+    rng = np.random.default_rng(23)
+    for name, key in [("orders", "o_custkey"), ("customer", "c_custkey")]:
+        t = pq.read_table(f"{src}/{name}.parquet")
+        null = rng.random(t.num_rows) < frac
+        i = t.schema.get_field_index(key)
+        keys = pa.array(t[key].to_numpy(), t.schema.field(key).type, mask=null)
+        pq.write_table(t.set_column(i, key, keys), dst / f"{name}.parquet")
+    return str(dst)
+
+
 def test_order_segments_join_never_matches_null_keys(ray_session, sf_tiny, tmp_path):
     """SQL inner-join nulls: 5 % of the orders' and of the customers'
     keys are null, and no null key joins (not even to a null key)."""
     from eristropy_ray.pipelines.queries import ORACLE_SQL, QUERIES
     from tools.check_oracle import compare, to_pandas
 
-    rng = np.random.default_rng(23)
-    for name, key in [("orders", "o_custkey"), ("customer", "c_custkey")]:
-        t = pq.read_table(f"{sf_tiny}/{name}.parquet")
-        null = rng.random(t.num_rows) < 0.05
-        i = t.schema.get_field_index(key)
-        keys = pa.array(t[key].to_numpy(), t.schema.field(key).type, mask=null)
-        pq.write_table(t.set_column(i, key, keys), tmp_path / f"{name}.parquet")
-    name, sf = "order_segments_join", str(tmp_path)
+    name, sf = "order_segments_join", _null_join_keys(sf_tiny, tmp_path, 0.05)
     want = _oracle_views(sf, ["orders", "customer"]).execute(ORACLE_SQL[name]).df()
     assert 0 < len(want) < pq.read_metadata(f"{sf}/orders.parquet").num_rows
     assert compare(name, to_pandas(QUERIES[name](sf)), want) == "OK"
+
+
+def test_order_segments_join_drops_null_keys_before_exchange(
+    ray_session, sf_tiny, tmp_path, monkeypatch
+):
+    """A null key can never match, so its rows never reach the exchange:
+    ``partition_of`` would send them all to key 0's partition (a hot
+    partition at 20 % null keys). The rows with a key all do."""
+    from eristropy_ray.pipelines import queries
+
+    sent = []
+
+    def spy(ds, key, fn, batch_format="pandas"):
+        sent.append(ds)
+        return exchange(ds, key, fn, batch_format)
+
+    monkeypatch.setattr(queries, "exchange", spy)
+    sf = _null_join_keys(sf_tiny, tmp_path, 0.2)
+    queries.q_order_segments_join(sf)
+    (tagged,) = sent
+    keys = tagged.to_pandas()["key"]
+    assert keys.notna().all()
+    n_keyed = sum(
+        pq.read_table(f"{sf}/{t}.parquet")[c].drop_null().length()
+        for t, c in [("orders", "o_custkey"), ("customer", "c_custkey")]
+    )
+    assert len(keys) == n_keyed
 
 
 # rows-only per-signal entries -> (columns, one row per signal with at
@@ -407,6 +483,26 @@ def test_neardup_pairs_are_typed_on_degenerate_tables(
     }
     for name, dtypes in want.items():
         got = QUERIES[name](sf)
+        assert len(got) == 0, name
+        assert {c: str(t) for c, t in got.dtypes.items()} == dtypes, name
+
+
+def test_bounded_order_entries_are_typed_on_zero_rows(ray_session, sf_tiny, tmp_path):
+    """The ``top_k`` entries give their typed columns on empty tables."""
+    from eristropy_ray.pipelines.queries import QUERIES
+    from tools.check_oracle import to_pandas
+
+    sf = _degenerate(Path(sf_tiny), tmp_path / "zero", "zero")
+    want = {
+        "top_users": {"user_id": "int64", "n_obs": "int64"},
+        "vocab_topk": {"word": "object", "n": "int64"},
+        "reservoir_sample": {
+            "sample_key": "uint64", "event_id": "int64", "user_id": "int64",
+            "ts_us": "int64", "value": "float64",
+        },
+    }
+    for name, dtypes in want.items():
+        got = to_pandas(QUERIES[name](sf))
         assert len(got) == 0, name
         assert {c: str(t) for c, t in got.dtypes.items()} == dtypes, name
 
