@@ -36,9 +36,6 @@ class RollupConfig:
            near-constant window counted by its dense pairwise match
            matrix: ~8 MB for the 2048² match matrix and its run mask.
            SampEn estimates are stable well below this length.
-        preprocess: "difference" applies first-differencing before the
-           headline entropy columns (the reference's stationarity
-           preprocessing, stationarity.py:237-241); "none" uses raw values.
         lateness_us: allowed lateness for the (conversation, day)-local
            watermark — turns older than (max ts in their conv-day) minus
            this are dropped before windowing. None (default) accepts
@@ -53,7 +50,6 @@ class RollupConfig:
     permen_order: int = 3
     min_window: int = 4
     max_window_points: int = 2048
-    preprocess: str = "difference"
     lateness_us: int | None = None
 
     def __post_init__(self) -> None:
@@ -68,8 +64,6 @@ class RollupConfig:
             raise ValueError("r_frac must be > 0")
         if self.min_window <= self.m + 1:
             raise ValueError("min_window must exceed m + 1")
-        if self.preprocess not in ("difference", "none"):
-            raise ValueError("preprocess must be 'difference' or 'none'")
 
 
 @dataclass(frozen=True)

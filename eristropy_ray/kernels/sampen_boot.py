@@ -4,13 +4,16 @@ Reimplements ``SampleEntropy._bootstrap_mse`` (sample_entropy.py:205-230)
 and ``SampleEntropy._sampen_se`` (sample_entropy.py:232-248): stationary-
 bootstrap replicates of the signal, SampEn per replicate, then MSE against
 the point estimate / population-SD across replicates. Seeding is
-counter-based per (seed, key, replicate) — see kernels/bootstrap.py.
+counter-based per (seed, key, replicate) — see kernels/bootstrap.py. All
+replicates of a signal are one ``sampen_ragged`` call, equal to the scalar
+``sampen`` per replicate as float64 bit patterns.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from eristropy_ray.kernels.batch_entropy import sampen_ragged
 from eristropy_ray.kernels.bootstrap import stationary_bootstrap
 from eristropy_ray.kernels.sampen import sampen
 from eristropy_ray.kernels.stats import mean_squared_error, standard_error
@@ -20,8 +23,11 @@ def _replicate_sampens(
     x: np.ndarray, m: int, r: float, p: float, n_boot: int, seed: int,
     key: tuple[int, ...],
 ) -> np.ndarray:
+    if not r > 0:  # scalar sampen's NaN; the ragged kernel needs r > 0
+        return np.full(n_boot, np.nan)
     X = stationary_bootstrap(x, p, n_boot, seed=seed, key=key)
-    return np.array([sampen(X[i], m, r) for i in range(n_boot)])
+    n = X.shape[1]
+    return sampen_ragged(X.ravel(), np.arange(n_boot + 1) * n, m, np.full(n_boot, r))
 
 
 def sampen_bootstrap_mse(

@@ -54,6 +54,7 @@ from eristropy_ray.optimize import (
     TPEOptimizer,
 )
 from eristropy_ray.stages.signals import gather_signals, map_signals
+from eristropy_ray.stages.validate import validate_signals
 
 
 class SampEnSettingWarning(UserWarning):
@@ -327,6 +328,7 @@ def compute_all_sampen(
     local API shape, sample_entropy.py:346) run the same final-pass stage
     in process.
     """
+    signals = validate_signals(signals)
     is_ds = isinstance(signals, rd.Dataset)
     info: dict = {"m_star_": cfg.m, "r_star_": cfg.r, "p_star_": cfg.p}
     if optimize or not is_ds:
@@ -396,6 +398,7 @@ def sampen_efficiency(
     When no score is finite (no signals, or all too short), r* is NaN and
     every signal's row is NaN.
     """
+    signals = validate_signals(signals)
     if isinstance(signals, rd.Dataset):
         # one materialization: the score and final passes below would
         # otherwise re-execute the entire upstream lineage (e.g. the

@@ -37,6 +37,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from eristropy_ray.config import TIER_STEPS_US, RollupConfig
+from eristropy_ray.kernels.stats import from_micros, micros
 from eristropy_ray.stages.windows import rollup_windows
 
 
@@ -72,7 +73,7 @@ def cascade_stats(fine: pd.DataFrame, coarse_tier: str) -> pd.DataFrame:
     else:
         bucket_us = b.to_numpy(dtype=np.int64)
     df["bucket_ts"] = bucket_us - bucket_us % step
-    df["_sum_mu"] = np.round(df["value_sum"].to_numpy() * 1e6).astype(np.int64)
+    df["_sum_mu"] = micros(df["value_sum"].to_numpy())
     g = df.groupby(["conv_id", "bucket_ts"], sort=True).agg(
         n_turns=("n_turns", "sum"),
         _sum_mu=("_sum_mu", "sum"),
@@ -80,7 +81,7 @@ def cascade_stats(fine: pd.DataFrame, coarse_tier: str) -> pd.DataFrame:
         value_max=("value_max", "max"),
     )
     g = g.reset_index()
-    vsum = g["_sum_mu"].astype(np.float64) / 1e6
+    vsum = from_micros(g["_sum_mu"])
     g["value_sum"] = vsum
     g["value_mean"] = vsum / g["n_turns"]
     g["tier"] = coarse_tier

@@ -4,7 +4,10 @@ each with a DuckDB oracle where ANSI SQL can express it.
 Cross-engine exactness: float aggregates are accumulated as integer
 micro-units on the Ray side and as DECIMAL(.,6) sums on the DuckDB side —
 both are exact, and every subsequent float op is written in the same
-order, so value hashes match bit-for-bit (no tolerance needed). Columns
+order, so value hashes match bit-for-bit (no tolerance needed). Every
+conversion is ``kernels.stats.micros``/``from_micros``, which raises
+``ValueError`` on a null/NaN, ±inf or out-of-range value (the twins fail
+on inf too; they skip nulls, which these sums do not do yet). Columns
 carrying event time are emitted as ``ts_us``/``bucket_us`` BIGINT
 (microseconds) on both sides to avoid timestamp-type mismatches.
 
@@ -24,6 +27,7 @@ import pyarrow.compute as pc
 import ray.data as rd
 
 from eristropy_ray.config import EncodeConfig, RollupConfig
+from eristropy_ray.kernels.stats import from_micros, micros
 from eristropy_ray.pipelines.exchange import (
     exchange,
     fold,
@@ -230,13 +234,13 @@ def _bucket_rollup(sf_dir: str, step_us: int):
                 "bucket_us": pa.array(ts - ts % step_us, pa.int64()),
                 "value_min": val,
                 "value_max": val,
-                "sum_mu": pa.array(np.round(v * 1e6).astype(np.int64), pa.int64()),
+                "sum_mu": pa.array(micros(v), pa.int64()),
             }
         )
 
     def finish(t: pa.Table) -> pa.Table:
         n = t["n_obs"].to_numpy()
-        vsum = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+        vsum = from_micros(t["sum_mu"].to_numpy())
         return (
             t.drop_columns(["sum_mu"])
             .append_column("value_sum", pa.array(vsum, pa.float64()))
@@ -565,6 +569,17 @@ def q_stationary_signals(sf_dir: str):
     return out.select_columns(["signal_id", "ts_us", "value"])
 
 
+def _no_estimates(signals: rd.Dataset) -> pd.DataFrame:
+    """A NaN (sampen, se_sampen) row per signal: the registry's answer
+    where a library estimator rejects its input."""
+    from eristropy_ray.stages.signals import map_signals
+
+    def sampen_final(df: pd.DataFrame) -> pd.DataFrame:
+        return map_signals(df, lambda _, x: (np.nan, np.nan), ["sampen", "se_sampen"])
+
+    return gather_signals(signals, sampen_final).drop(columns=["n_obs"])
+
+
 def q_sampen_optimized(sf_dir: str):
     """SampleEntropy.compute_all_sampen(optimize=True) analogue with a
     deterministic TPE-lite search (rows-only). Signals too short for any
@@ -576,8 +591,7 @@ def q_sampen_optimized(sf_dir: str):
         SampEnSettingWarning,
         compute_all_sampen,
     )
-
-    from eristropy_ray.stages.signals import map_signals, zscore_plain_partition
+    from eristropy_ray.stages.signals import zscore_plain_partition
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", SampEnSettingWarning)
@@ -592,28 +606,31 @@ def q_sampen_optimized(sf_dir: str):
             normalized, cfg, optimize=True, estimate_uncertainty=True
         )
     except ValueError:
-        # no signals, one shorter than m_range, or every trial NaN (which
-        # OptimizationFailureWarning has reported): no estimate exists
-
-        def sampen_final(df: pd.DataFrame) -> pd.DataFrame:
-            return map_signals(df, lambda _, x: (np.nan, np.nan), ["sampen", "se_sampen"])
-
-        out = gather_signals(normalized, sampen_final).drop(columns=["n_obs"])
+        # no signals, one shorter than m_range, every trial NaN (which
+        # OptimizationFailureWarning has reported) or a non-finite
+        # z-score (a one-event or constant signal): no estimate exists
+        out = _no_estimates(normalized)
     return out
 
 
 def q_sampen_efficiency(sf_dir: str):
     """SampEnEfficiency grid path: Lake analytic r* + per-signal SampEn
-    and analytic SE (rows-only)."""
+    and analytic SE (rows-only). A one-event or constant signal z-scores
+    to NaN, which the library rejects: every signal then gets a NaN row
+    (its NaN score would make the median score, so every estimate, NaN)."""
     from eristropy_ray.pipelines.entropy import sampen_efficiency
     from eristropy_ray.stages.signals import zscore_plain_partition
+    from eristropy_ray.stages.validate import SignalValidationError
 
     normalized = exchange(
         _events_signals(sf_dir), "signal_id", zscore_plain_partition
     )
-    out, _ = sampen_efficiency(
-        normalized, m=2, r_range=(0.1, 0.5), random_seed=17
-    )
+    try:
+        out, _ = sampen_efficiency(
+            normalized, m=2, r_range=(0.1, 0.5), random_seed=17
+        )
+    except SignalValidationError:
+        out = _no_estimates(normalized)
     return out
 
 
@@ -2252,15 +2269,12 @@ def q_hopping_window(sf_dir: str, span_us: int = 3_600_000_000,
             {
                 "signal_id": pa.array(np.repeat(uid, n_hops)[keep], pa.int64()),
                 "window_start_us": pa.array(starts.reshape(-1)[keep], pa.int64()),
-                "sum_mu": pa.array(
-                    np.repeat(np.round(v * 1e6).astype(np.int64), n_hops)[keep],
-                    pa.int64(),
-                ),
+                "sum_mu": pa.array(np.repeat(micros(v), n_hops)[keep], pa.int64()),
             }
         )
 
     def finish(t: pa.Table) -> pa.Table:
-        vsum = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+        vsum = from_micros(t["sum_mu"].to_numpy())
         return t.drop_columns(["sum_mu"]).append_column(
             "value_sum", pa.array(vsum, pa.float64())
         )
@@ -2311,10 +2325,7 @@ def q_streaming_window(
                 "signal_id": pa.array(uid, pa.int64()),
                 "ts_us": pc.cast(b["ts"], pa.int64()),
                 "vmu": pa.array(
-                    np.round(
-                        b["value"].to_numpy(zero_copy_only=False) * 1e6
-                    ).astype(np.int64),
-                    pa.int64(),
+                    micros(b["value"].to_numpy(zero_copy_only=False)), pa.int64()
                 ),
                 "arrival": pa.array(arrival, pa.int64()),
                 "event_id": pa.array(eid, pa.int64()),
@@ -2348,7 +2359,7 @@ def q_streaming_window(
             )
             .reset_index()
         )
-        out["value_sum"] = out["sum_mu"].astype(np.float64) / 1e6
+        out["value_sum"] = from_micros(out["sum_mu"])
         return out[
             ["signal_id", "window_start_us", "n_obs", "value_sum", "n_late"]
         ].astype(
@@ -2650,14 +2661,15 @@ def q_orders_by_segment(sf_dir: str):
     def project(batch: pa.Table) -> pa.Table:
         skeys, scodes = ray.get(lookup_ref)
         ck = batch.column("o_custkey").to_numpy()
-        price_mu = np.round(batch.column("o_totalprice").to_numpy() * 1e6)
         pos = np.searchsorted(skeys, ck)
         hit = pos < skeys.size
         hit[hit] = skeys[pos[hit]] == ck[hit]
+        # only joined rows: the twin casts to DECIMAL after its inner join
+        price = batch.column("o_totalprice").to_numpy()[hit]
         return pa.table(
             {
                 "seg": pa.array(scodes[pos[hit]], pa.int64()),
-                "sum_mu": pa.array(price_mu[hit].astype(np.int64), pa.int64()),
+                "sum_mu": pa.array(micros(price), pa.int64()),
             }
         )
 
@@ -2669,7 +2681,7 @@ def q_orders_by_segment(sf_dir: str):
         pa.schema([(c, pa.int64()) for c in ("seg", "n_orders", "sum_mu")]),
     )
     n = t["n_orders"].to_numpy()
-    total = t["sum_mu"].to_numpy().astype(np.float64) / 1e6
+    total = from_micros(t["sum_mu"].to_numpy())
     return pd.DataFrame(
         {
             "c_mktsegment": seg_names[t["seg"].to_numpy()].astype(object),
@@ -2824,20 +2836,16 @@ def q_pricing_summary(sf_dir: str):
     def project(b: pa.Table) -> pa.Table:
         price = b["l_extendedprice"].to_numpy(zero_copy_only=False)
         disc = b["l_discount"].to_numpy(zero_copy_only=False)
-        qty_mu = np.round(
-            b["l_quantity"].to_numpy(zero_copy_only=False) * 1e6
-        ).astype(np.int64)
-        price_mu = np.round(price * 1e6).astype(np.int64)
-        # disc_price rounded to micro per row BEFORE summing, so the
-        # DuckDB DECIMAL(24,6) cast of the identical double matches
-        disc_price_mu = np.round(price * (1.0 - disc) * 1e6).astype(np.int64)
+        qty = b["l_quantity"].to_numpy(zero_copy_only=False)
         return pa.table(
             {
                 "l_returnflag": b["l_returnflag"],
                 "l_linestatus": b["l_linestatus"],
-                "qty_mu": pa.array(qty_mu, pa.int64()),
-                "price_mu": pa.array(price_mu, pa.int64()),
-                "disc_price_mu": pa.array(disc_price_mu, pa.int64()),
+                "qty_mu": pa.array(micros(qty), pa.int64()),
+                "price_mu": pa.array(micros(price), pa.int64()),
+                # disc_price rounded to micro per row BEFORE summing, so the
+                # DuckDB DECIMAL(24,6) cast of the identical double matches
+                "disc_price_mu": pa.array(micros(price * (1.0 - disc)), pa.int64()),
             }
         )
 
@@ -2852,7 +2860,7 @@ def q_pricing_summary(sf_dir: str):
     )
     n = t["n_rows"].to_numpy()
     qty, price, disc_price = (
-        t[c].to_numpy() / 1e6 for c in ("qty_mu", "price_mu", "disc_price_mu")
+        from_micros(t[c].to_numpy()) for c in ("qty_mu", "price_mu", "disc_price_mu")
     )
     means = {"sum_qty": qty, "sum_base_price": price, "sum_disc_price": disc_price,
              "avg_qty": qty / n, "avg_price": price / n}

@@ -47,6 +47,7 @@ from eristropy_ray.stages.signals import (
     make_adf_partition,
     zscore_plain_partition,
 )
+from eristropy_ray.stages.validate import validate_signals
 
 
 @dataclass(frozen=True)
@@ -169,6 +170,7 @@ def make_stationary_signals(
 ) -> tuple[rd.Dataset, dict]:
     """Returns (stationary signal Dataset, info dict with stationary_frac_
     and stationary_signals_ — the reference's fitted attributes)."""
+    signals = validate_signals(signals)
     if cfg.method == "difference":
         transformed = exchange(signals, "signal_id", difference_partition)
     elif cfg.detrend_type == "lr":

@@ -37,6 +37,7 @@ import ray.data as rd
 from eristropy_ray.kernels.adf import adf_pvalue_or_one
 from eristropy_ray.kernels.permen import permen
 from eristropy_ray.kernels.sampen import sampen_auto_r
+from eristropy_ray.kernels.stats import from_micros, micros
 from eristropy_ray.pipelines.exchange import exchange, segment_starts
 
 
@@ -123,11 +124,9 @@ def zscore_partition(df: pd.DataFrame) -> pd.DataFrame:
     v = sdf["value"].to_numpy(dtype=np.float64)
     if v.size == 0:
         return sdf.iloc[0:0][["signal_id", "ts_us", "value"]]
-    vmu = np.round(v * 1e6).astype(np.int64)
-    sqmu = np.round(v * v * 1e6).astype(np.int64)
     counts = np.diff(np.append(starts, v.size))
-    sv = np.add.reduceat(vmu, starts).astype(np.float64) / 1e6
-    sq = np.add.reduceat(sqmu, starts).astype(np.float64) / 1e6
+    sv = from_micros(np.add.reduceat(micros(v), starts))
+    sq = from_micros(np.add.reduceat(micros(v * v), starts))
     n = counts.astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         mean = sv / n
@@ -249,17 +248,16 @@ def rolling_mean_partition(df: pd.DataFrame, window: int = 5) -> pd.DataFrame:
     n = v.size
     if n == 0:
         return sdf.iloc[0:0][["signal_id", "ts_us", "value"]]
-    vmu = np.round(v * 1e6).astype(np.int64)
     counts = np.diff(np.append(starts, n))
     pos = np.arange(n) - np.repeat(starts, counts)  # index within signal
-    cs = np.cumsum(vmu)
+    cs = np.cumsum(micros(v))
     prev = np.zeros(n, dtype=np.int64)
     base = np.repeat(np.where(starts > 0, cs[starts - 1], 0), counts)
     back = np.maximum(pos - window, -1) + np.repeat(starts, counts)
     has_back = pos >= window
     prev[has_back] = cs[back[has_back]]
     prev[~has_back] = base[~has_back]
-    wsum = (cs - prev).astype(np.float64) / 1e6
+    wsum = from_micros(cs - prev)
     wcount = np.minimum(pos + 1, window).astype(np.float64)
     out = sdf[["signal_id", "ts_us"]].copy()
     out["value"] = wsum / wcount
@@ -270,7 +268,7 @@ def running_sum_partition(df: pd.DataFrame) -> pd.DataFrame:
     """Per-signal cumulative sum at every event (SUM OVER an unbounded
     ROWS frame): one global integer-micro cumsum, per-group rebased by
     subtracting the exclusive prefix at each group start — no Python
-    loop over signals. ``/1e6`` at the end matches DuckDB's
+    loop over signals. ``from_micros`` at the end matches DuckDB's
     DECIMAL(18,6)-window-sum-cast-to-DOUBLE bit-for-bit while the
     per-signal micro total stays below 2**53 (documented premise; a
     wider deployment would emit the micro int64 itself)."""
@@ -282,15 +280,14 @@ def running_sum_partition(df: pd.DataFrame) -> pd.DataFrame:
         out["event_id"] = np.empty(0, dtype=np.int64)
         out["running_sum"] = np.empty(0, dtype=np.float64)
         return out
-    vmu = np.round(v * 1e6).astype(np.int64)
     # the GLOBAL (cross-signal) cumsum may wrap int64 on extreme
     # partitions, but cs and base wrap identically, so the rebased
     # difference is exact two's-complement arithmetic whenever the true
     # per-signal running sum fits int64 (the documented premise above)
-    cs = np.cumsum(vmu)
+    cs = np.cumsum(micros(v))
     counts = np.diff(np.append(starts, n))
     base = np.repeat(np.where(starts > 0, cs[starts - 1], 0), counts)
     out = sdf[["signal_id", "ts_us"]].copy()
     out["event_id"] = sdf["tie"].to_numpy(dtype=np.int64)
-    out["running_sum"] = (cs - base).astype(np.float64) / 1e6
+    out["running_sum"] = from_micros(cs - base)
     return out

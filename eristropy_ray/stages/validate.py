@@ -9,7 +9,10 @@ require it rather than coercing); no NaN/inf anywhere in the numeric
 columns; at least one signal id. Each violation raises
 ``SignalValidationError`` with a message naming the offending check.
 
-Usage as a Dataset stage::
+The signal pipelines (``make_stationary_signals``, ``compute_all_sampen``,
+``sampen_efficiency``) call ``validate_signals`` on their input, as the
+reference validates at ``stationarity.py:86`` and
+``sample_entropy.py:59-62``. Usage as a Dataset stage::
 
     ds.map_batches(make_validator("signal_id", "ts_us", "value"),
                    batch_format="pyarrow")  # identity pass-through
@@ -17,6 +20,7 @@ Usage as a Dataset stage::
 
 from __future__ import annotations
 
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -90,3 +94,18 @@ def make_validator(
         )
 
     return validator
+
+
+def validate_signals(signals):
+    """A pipeline's validation boundary: a DataFrame is checked whole
+    (``validate_signal_batch``, so an empty one raises); a Dataset gets
+    ``make_validator()`` as its next map and fails when it executes.
+    Its context (shared with the Datasets it derives from) raises the
+    map's own exception, so the caller catches a ``SignalValidationError``
+    rather than Ray's ``UserCodeException`` that names it only in text."""
+    if isinstance(signals, pd.DataFrame):
+        validate_signal_batch(pa.Table.from_pandas(signals, preserve_index=False))
+        return signals
+    validated = signals.map_batches(make_validator(), batch_format="pyarrow")
+    validated.context.raise_original_map_exception = True
+    return validated

@@ -225,24 +225,21 @@ def rollup_windows(
         todo = (counts >= cfg.min_window) & ~hit
         ent = np.empty((n_win, 4))
         ent[:, 0], ent[:, 1] = _window_entropies(v, starts, counts, todo, r_raw, cfg)
-        if cfg.preprocess == "difference":
-            # diff-series radius: telescoping mean, centered reduceat
-            # variance; dv[starts] is zeroed by construction so segment
-            # sums over [start, next_start) cover exactly [start+1, end)
-            ends = np.append(starts[1:], codes.size)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                means_d = (v[ends - 1] - v[starts]) / (counts - 1.0)
-            cd = dv - means_d[rep]
-            cd[starts] = 0.0
-            ssq_d = np.add.reduceat(cd * cd, starts)
-            r_diff = window_radii_from_moments(
-                ssq_d, np.maximum(counts - 1, 1), cfg.r_frac
-            )
-            ent[:, 2], ent[:, 3] = _window_entropies(
-                dv, starts + 1, counts - 1, todo, r_diff, cfg
-            )
-        else:
-            ent[:, 2:] = ent[:, :2]
+        # diff-series radius: telescoping mean, centered reduceat
+        # variance; dv[starts] is zeroed by construction so segment
+        # sums over [start, next_start) cover exactly [start+1, end)
+        ends = np.append(starts[1:], codes.size)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means_d = (v[ends - 1] - v[starts]) / (counts - 1.0)
+        cd = dv - means_d[rep]
+        cd[starts] = 0.0
+        ssq_d = np.add.reduceat(cd * cd, starts)
+        r_diff = window_radii_from_moments(
+            ssq_d, np.maximum(counts - 1, 1), cfg.r_frac
+        )
+        ent[:, 2], ent[:, 3] = _window_entropies(
+            dv, starts + 1, counts - 1, todo, r_diff, cfg
+        )
         ent[hit] = done[at[hit]]
         done_key = np.append(done_key, key[todo])
         by_key = np.argsort(done_key, kind="stable")

@@ -1,6 +1,7 @@
 """SampleEntropy / SampEnEfficiency pipelines: the reference test suite's
 contracts (determinism, failure modes, warnings, invariants) from
-tests/test_sample_entropy.py."""
+tests/test_sample_entropy.py; both reject NaN/inf input, as the
+reference's ``_validate_dataframe`` does."""
 
 import math
 import warnings
@@ -18,6 +19,7 @@ from eristropy_ray.pipelines.entropy import (
     _collect_signals,
     sampen_efficiency,
 )
+from eristropy_ray.stages.validate import SignalValidationError
 
 
 def _normal_signals(n_sig=5, n=200, seed=17):
@@ -188,6 +190,29 @@ def test_sampen_efficiency(ray_session):
     )
     pd.testing.assert_frame_equal(out, out2)
     assert info["r_star_"] == info2["r_star_"]
+
+
+def _non_finite(as_dataset: bool, bad: float):
+    import ray.data as rd
+
+    df = _normal_signals(n_sig=3, n=60)
+    df.loc[70, "value"] = bad
+    return rd.from_pandas(df) if as_dataset else df
+
+
+@pytest.mark.parametrize("as_dataset", [False, True], ids=["frame", "dataset"])
+def test_compute_all_sampen_rejects_non_finite(ray_session, as_dataset):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampEnSettingWarning)
+        cfg = SampEnConfig(m=2, r=0.2, n_boot=10, n_trials=5)
+    with pytest.raises(SignalValidationError, match="NaN"):
+        compute_all_sampen(_non_finite(as_dataset, np.nan), cfg)
+
+
+@pytest.mark.parametrize("as_dataset", [False, True], ids=["frame", "dataset"])
+def test_sampen_efficiency_rejects_non_finite(ray_session, as_dataset):
+    with pytest.raises(SignalValidationError, match="infinite"):
+        sampen_efficiency(_non_finite(as_dataset, np.inf), m=2, r_range=(0.1, 0.5))
 
 
 def test_tpe_lite_divergence_from_optuna_is_intentional(ray_session):

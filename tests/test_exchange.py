@@ -7,9 +7,9 @@ and the registry entries built on them match their DuckDB twins on
 degenerate tables (zero rows, one row, one user, one hot user); the
 rows-only per-signal entries return typed results on the same tables and
 on ~17-event users, and so do the bucketed near-dup and bounded-order
-entries on empty ones. The co-partitioned join finishes in a fresh
-1-CPU session, never matches a null key and sends none to its
-exchange."""
+entries on empty ones; the integer-micro sums reject NaN and inf. The
+co-partitioned join finishes in a fresh 1-CPU session, never matches a
+null key and sends none to its exchange."""
 
 from __future__ import annotations
 
@@ -290,6 +290,13 @@ def _degenerate(src: Path, dst: Path, kind: str) -> str:
             )
         elif f.name == "events.parquet" and kind == "one_user":
             t = t.filter(pc.equal(t["user_id"], t["user_id"][0]))
+        elif f.name == "events.parquet" and kind == "non_finite":
+            v = t["value"].to_numpy().copy()
+            at = np.random.default_rng(21).choice(v.size, 6, replace=False)
+            v[at[:3]], v[at[3:]] = np.nan, np.inf
+            t = t.set_column(
+                t.schema.get_field_index("value"), "value", pa.array(v)
+            )
         pq.write_table(t, dst / f.name)
     return str(dst)
 
@@ -330,6 +337,29 @@ def test_migrated_entries_match_oracle_on_degenerate_tables(
         if verdict != "OK":
             bad[name] = verdict
     assert not bad, bad
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rollup_1h", "rollup_1d", "zscore", "hopping_window", "streaming_window",
+     "rolling_mean", "running_sum"],
+)
+def test_micro_sums_reject_non_finite_values(
+    ray_session, sf_tiny, tmp_path, monkeypatch, name
+):
+    """NaN and +inf in ``events.value`` raise ``micros``' ValueError
+    instead of summing as INT64_MIN. (Ray wraps a map's exception in a
+    ``UserCodeException`` unless the context asks for the original.)"""
+    from ray.data import DataContext
+
+    from eristropy_ray.pipelines.queries import QUERIES
+    from tools.check_oracle import to_pandas
+
+    ctx = DataContext.get_current()
+    monkeypatch.setattr(ctx, "raise_original_map_exception", True)
+    sf = _degenerate(Path(sf_tiny), tmp_path / "non_finite", "non_finite")
+    with pytest.raises(ValueError, match="DECIMAL"):
+        to_pandas(QUERIES[name](sf))
 
 
 _JOIN_IN_FRESH_SESSION = """

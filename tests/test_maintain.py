@@ -1,6 +1,10 @@
-"""Cascade / retention / incremental-update maintenance operators."""
+"""Cascade / retention / incremental-update maintenance operators; the
+upsert path imports no Ray."""
 
 import glob
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pandas as pd
@@ -234,6 +238,29 @@ def test_cascade_rejects_not_coarser(rng):
         cascade_stats(day_rows, "1h")  # day -> hour is not a cascade
     with pytest.raises(ValueError, match="not coarser"):
         cascade_stats(day_rows, "1d")  # identity is not a cascade either
+
+
+def test_cascade_rejects_non_finite_sums(rng):
+    cfg = RollupConfig()
+    rollup = _rollup_df(_turns(rng, n_convs=1, n=50), cfg)
+    fine = rollup[rollup["tier"] == "1m"].copy()
+    fine.loc[fine.index[3], "value_sum"] = np.nan
+    with pytest.raises(ValueError, match="DECIMAL"):
+        cascade_stats(fine, "1h")
+
+
+def test_upsert_path_imports_no_ray():
+    """``late_upsert`` runs the upsert and the block encoder without Ray;
+    a fresh interpreter importing both must not load it."""
+    code = (
+        "import sys, eristropy_ray.pipelines.maintain, eristropy_ray.stages.encode; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'ray'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        cwd=Path(__file__).resolve().parents[1],
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_incremental_update_empty_batch_is_noop(rng):

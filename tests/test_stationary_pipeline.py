@@ -1,6 +1,7 @@
 """StationarySignals pipeline: decision-level conformance with the
 reference's ramp/sine contract (tests/test_stationarity.py:70-75) and
-method variants."""
+method variants; NaN/inf input raises, as the reference's
+``_validate_dataframe`` does."""
 
 import numpy as np
 import pandas as pd
@@ -10,6 +11,7 @@ from eristropy_ray.pipelines.stationary import (
     StationaryConfig,
     make_stationary_signals,
 )
+from eristropy_ray.stages.validate import SignalValidationError
 
 
 def _ramp_sine_df():
@@ -109,6 +111,15 @@ def test_gp_detrend_arange_semantics(ray_session):
     res = out.to_pandas().sort_values("ts_us")
     # reference quirk: output timestamps are the arange, not the input ts
     np.testing.assert_array_equal(np.sort(res["ts_us"].unique()), np.arange(40))
+
+
+def test_rejects_non_finite_values(ray_session):
+    import ray.data as rd
+
+    df = _ramp_sine_df()
+    df.loc[150, "value"] = np.inf
+    with pytest.raises(SignalValidationError, match="infinite"):
+        make_stationary_signals(rd.from_pandas(df), StationaryConfig(method="difference"))
 
 
 def test_config_validation():

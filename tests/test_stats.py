@@ -1,5 +1,7 @@
 """ddof conventions pinned (SURVEY.md §7.4): standard_error is population
-SD (ddof=0) despite its name; zscore uses sample SD (ddof=1)."""
+SD (ddof=0) despite its name; zscore uses sample SD (ddof=1). ``micros``
+is the hand-written micro-unit cast on finite input and raises where
+that cast would give INT64_MIN."""
 
 import math
 
@@ -7,8 +9,10 @@ import numpy as np
 
 from eristropy_ray.kernels.difference import difference
 from eristropy_ray.kernels.stats import (
+    from_micros,
     mean,
     mean_squared_error,
+    micros,
     standard_error,
     zscore,
 )
@@ -58,3 +62,26 @@ def test_difference_errors():
         difference(np.array([1.0, np.nan]))
     with pytest.raises(ValueError):
         difference(np.array([1.0, np.inf]))
+
+
+def test_micros_equals_the_hand_written_cast(rng):
+    ties = (np.arange(-8, 9) + 0.5) / 1e6  # half-micro ties, both signs
+    near = np.array([9.2e12, -9.2e12, 9223372036854.7, -9223372036854.7])
+    x = np.concatenate(
+        [ties, near, [0.0, -0.0, 1e-7, -1e-7], rng.normal(size=500) * 1e3]
+    )
+    small = x[np.abs(x) < 1e3]  # the products below stay in range
+    for v in (x, small * small, small * (1.0 - 0.07)):
+        want = np.round(v * 1e6).astype(np.int64)
+        np.testing.assert_array_equal(micros(v), want)
+        assert micros(v).dtype == np.int64
+    np.testing.assert_array_equal(from_micros(micros(x)), micros(x).astype(np.float64) / 1e6)
+    assert micros(np.empty(0)).dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf, 9.3e12, -9.3e12, 9223372036854.776]
+)
+def test_micros_rejects_what_would_become_int64_min(bad):
+    with pytest.raises(ValueError, match="1 value"):
+        micros(np.array([1.0, bad, 2.0]))

@@ -71,10 +71,8 @@ def _oracle(df, cfg):
                 row["sampen_raw"], row["permen_raw"] = _entropies_oracle(
                     x, cfg, raw_window_radius(x, cfg.r_frac)
                 )
-                row["sampen"], row["permen"] = (
-                    _entropies_oracle(np.diff(x), cfg, diff_window_radius(x, cfg.r_frac))
-                    if cfg.preprocess == "difference"
-                    else (row["sampen_raw"], row["permen_raw"])
+                row["sampen"], row["permen"] = _entropies_oracle(
+                    np.diff(x), cfg, diff_window_radius(x, cfg.r_frac)
                 )
             else:
                 row["sampen_raw"] = row["permen_raw"] = np.nan
@@ -314,10 +312,9 @@ def test_equal_windows_across_tiers_are_computed_once(monkeypatch):
         RollupConfig(tiers=("1d", "1h", "1m")),
         RollupConfig(tiers=("1h",)),
         RollupConfig(tiers=("1m", "1d"), max_window_points=100),
-        RollupConfig(tiers=("1d", "1h"), preprocess="none"),
         RollupConfig(tiers=("1h", "1m", "1d"), lateness_us=1_800_000_000),
     ],
-    ids=["reversed", "one_tier", "skip_1h", "no_preprocess", "lateness"],
+    ids=["reversed", "one_tier", "skip_1h", "lateness"],
 )
 def test_tier_orders_match_oracle(cfg):
     """Reuse holds for any tier order and config: bits equal the scalar
