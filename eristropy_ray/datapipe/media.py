@@ -11,9 +11,7 @@ decodable from public specs with the standard library alone:
   6 (RGBA), non-interlaced.
 
 Both raise ``ValueError`` on unsupported variants — callers treat that
-as a decode failure, not a crash. Used by
-``multimodal.BinaryFeatureStage(extractor="real")`` and
-``multimodal.FrameSampleStage(decoder="real")``.
+as a decode failure, not a crash. Used by the ``multimodal`` stages.
 """
 
 from __future__ import annotations
@@ -237,7 +235,10 @@ def encode_wav(samples: np.ndarray, rate: int = 8000) -> bytes:
     return buf.getvalue()
 
 
-def real_features(payload: bytes, fmt: str, dim: int = 8) -> np.ndarray:
+FEATURE_DIM = 8  # length of real_features' moment vector
+
+
+def real_features(payload: bytes, fmt: str) -> np.ndarray:
     """Deterministic content features from a DECODED payload: the moment
     vector (mean, std, min, max, q25, q50, q75, n/1e6) of the sample or
     pixel stream — a model-free stand-in with real decode semantics.
@@ -250,11 +251,10 @@ def real_features(payload: bytes, fmt: str, dim: int = 8) -> np.ndarray:
     else:
         raise ValueError(f"no stdlib decoder for format {fmt!r}")
     if vals.size == 0:
-        return np.zeros(dim, dtype=np.float64)
+        return np.zeros(FEATURE_DIM, dtype=np.float64)
     q25, q50, q75 = np.percentile(vals, [25, 50, 75])
-    feats = np.array(
+    return np.array(
         [vals.mean(), vals.std(), vals.min(), vals.max(), q25, q50, q75,
          vals.size / 1e6],
         dtype=np.float64,
     )
-    return feats[:dim] if dim <= 8 else np.pad(feats, (0, dim - 8))

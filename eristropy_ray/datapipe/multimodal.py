@@ -3,29 +3,39 @@
 Treats image/audio/video payloads as opaque ``binary`` columns with typed
 metadata. The Ray-side shape — schema, actor-pool signature, small batch
 sizes for wide rows, output layout — is real and tested, and so is the
-decoding for the formats the standard library can express:
+decoding for the formats the standard library can express: PNG (zlib +
+numpy scanline reconstruction) and PCM WAV (the ``wave`` module) are
+actually decoded (``datapipe/media.py``); payloads of any other format —
+or corrupt ones — degrade per row (NaN features / empty frames /
+``resize_ok=False``) instead of failing the job, the right behavior for
+web-scale dirty data.
 
-- ``extractor="real"`` / ``decoder="real"``: PNG (zlib + numpy scanline
-  reconstruction) and PCM WAV (the ``wave`` module) are actually decoded
-  (``datapipe/media.py``); payloads of any other format — or corrupt
-  ones — degrade per row (NaN features / empty frames) instead of
-  failing the job, the right behavior for web-scale dirty data.
-- ``extractor="fake"`` / ``decoder="fake"``: a deterministic
-  payload-hash embedding / byte-window sampler, format-agnostic — used
-  by determinism tests and as the stand-in for model-based extractors
-  (no ML libraries exist in this container).
+Each stage reads the ``payload`` column and has one configuration: the
+module constants below, the values its registry entry runs with.
 
 Usage:
-    ds.map_batches(BinaryFeatureStage(extractor="real"),
+    ds.map_batches(BinaryFeatureStage(),
                    batch_format="pyarrow",
-                   batch_size=256,          # small: payload rows are wide
-                   concurrency=8, num_cpus=1)
+                   batch_size=128,          # small: payload rows are wide
+                   concurrency=4)
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+
+from eristropy_ray.datapipe.media import (
+    FEATURE_DIM,
+    decode_png,
+    decode_wav,
+    encode_png,
+    real_features,
+)
+
+PAYLOAD_COL = "payload"
+N_FRAMES, FRAME_BYTES = 4, 32  # FrameSampleStage: frames per item, bytes each
+RESIZE_H, RESIZE_W = 16, 16  # ImageResizeStage output size
 
 _MAGIC = [
     (b"\x89PNG\r\n\x1a\n", "png"),
@@ -45,66 +55,30 @@ def sniff_format(payload: bytes) -> str:
     return "unknown"
 
 
-def fake_embedding(payload: bytes, dim: int = 8) -> np.ndarray:
-    """Deterministic payload-derived vector (stands in for a model)."""
-    h = np.uint64(0xCBF29CE484222325)
-    out = np.empty(dim, dtype=np.float64)
-    step = max(len(payload) // 64, 1)
-    for d in range(dim):
-        acc = int(h) + d * 0x9E3779B97F4A7C15
-        for b in payload[d::step][:64]:
-            acc = ((acc ^ b) * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
-        out[d] = (acc % 10_000_019) / 10_000_019
-    return out
-
-
 class BinaryFeatureStage:
-    """Actor-pool map_batches stage over a binary payload column.
-
-    Setup (per actor, once): choose the extractor. ``extractor="fake"``
-    uses the deterministic hash embedding; ``extractor="real"`` decodes
-    PNG/WAV payloads (stdlib decoders, ``datapipe/media.py``) and emits
-    their moment-vector features — rows whose payload can't be decoded
-    (unsupported format, corrupt bytes) get a NaN embedding and
-    ``decode_ok=False`` rather than failing the task."""
-
-    def __init__(
-        self, payload_col: str = "payload", extractor: str = "fake", dim: int = 8
-    ) -> None:
-        self.payload_col = payload_col
-        self.extractor = extractor
-        self.dim = dim
-        if extractor not in ("fake", "real"):
-            raise ValueError("extractor must be 'fake' or 'real'")
+    """Actor-pool map_batches stage over the binary payload column:
+    decodes PNG/WAV payloads (stdlib decoders, ``datapipe/media.py``) and
+    emits their moment-vector features (``media.real_features``) — rows whose payload can't
+    be decoded (unsupported format, corrupt bytes) get a NaN embedding
+    and ``decode_ok=False`` rather than failing the task."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from eristropy_ray.datapipe.media import real_features
-
-        payloads = batch[self.payload_col].to_pylist()
-        fmts = [sniff_format(p or b"") for p in payloads]
-        sizes = [len(p or b"") for p in payloads]
+        payloads = [p or b"" for p in batch[PAYLOAD_COL].to_pylist()]
+        fmts = [sniff_format(p) for p in payloads]
         cols = {
-            name: batch[name]
-            for name in batch.column_names
-            if name != self.payload_col
+            name: batch[name] for name in batch.column_names if name != PAYLOAD_COL
         }
         cols["format"] = pa.array(fmts, pa.string())
-        cols["n_bytes"] = pa.array(sizes, pa.int64())
-        if self.extractor == "real":
-            embs = []
-            ok = []
-            for p, fmt in zip(payloads, fmts):
-                try:
-                    embs.append(real_features(p or b"", fmt, self.dim))
-                    ok.append(True)
-                except ValueError:
-                    embs.append(np.full(self.dim, np.nan))
-                    ok.append(False)
-        else:
-            embs = [fake_embedding(p or b"", self.dim) for p in payloads]
-            # fake extraction always "decodes"; emitting the column in
-            # both modes keeps ONE output schema across extractors
-            ok = [True] * len(payloads)
+        cols["n_bytes"] = pa.array([len(p) for p in payloads], pa.int64())
+        embs = []
+        ok = []
+        for p, fmt in zip(payloads, fmts):
+            try:
+                embs.append(real_features(p, fmt))
+                ok.append(True)
+            except ValueError:
+                embs.append(np.full(FEATURE_DIM, np.nan))
+                ok.append(False)
         cols["decode_ok"] = pa.array(ok, pa.bool_())
         cols["embedding"] = pa.array(
             [e.tolist() for e in embs], pa.list_(pa.float64())
@@ -112,73 +86,46 @@ class BinaryFeatureStage:
         return pa.table(cols)
 
 
+def _decoded_stream(payload: bytes) -> bytes:
+    """Raw bytes of the decoded content (pixels row-major / PCM samples),
+    or b'' when no stdlib decoder applies."""
+    fmt = sniff_format(payload)
+    try:
+        if fmt == "png":
+            return decode_png(payload).tobytes()
+        if fmt == "riff":
+            samples, _rate = decode_wav(payload)
+            return samples.tobytes()
+    except ValueError:
+        return b""
+    return b""
+
+
 class FrameSampleStage:
     """Actor-pool 1->N frame-sampling stage for video-ish payloads.
 
-    Emits one row per (item, frame_idx): evenly spaced frames, the
-    standard pre-processing shape for video training data.
-    ``decoder="real"`` decodes the payload first (stdlib PNG/WAV,
-    ``datapipe/media.py``) and samples evenly spaced windows of the
-    DECODED stream — scanline bands of an image, sample windows of an
-    audio clip; undecodable payloads degrade to empty frames per row
-    (dirty web data must not fail the job). ``decoder="fake"`` slices
-    deterministic fixed-size byte windows out of the raw payload so the
-    1->N explode, the binary frame column, and downstream batch sizing
-    can be tested without media fixtures.
-
-    Usage:
-        ds.map_batches(FrameSampleStage(n_frames=4),
-                       batch_format="pyarrow", batch_size=64,
-                       concurrency=8, num_cpus=1)
-    """
-
-    def __init__(
-        self,
-        payload_col: str = "payload",
-        n_frames: int = 4,
-        frame_bytes: int = 64,
-        decoder: str = "fake",
-    ) -> None:
-        if decoder not in ("fake", "real"):
-            raise ValueError("decoder must be 'fake' or 'real'")
-        self.payload_col = payload_col
-        self.n_frames = n_frames
-        self.frame_bytes = frame_bytes
-        self.decoder = decoder
-
-    def _decoded_stream(self, payload: bytes) -> bytes:
-        """Raw bytes of the decoded content (pixels row-major / PCM
-        samples), or b'' when no stdlib decoder applies."""
-        from eristropy_ray.datapipe.media import decode_png, decode_wav
-
-        fmt = sniff_format(payload)
-        try:
-            if fmt == "png":
-                return decode_png(payload).tobytes()
-            if fmt == "riff":
-                samples, _rate = decode_wav(payload)
-                return samples.tobytes()
-        except ValueError:
-            return b""
-        return b""
+    Emits ``N_FRAMES`` rows per item, (item, frame_idx): windows of
+    ``FRAME_BYTES`` bytes at evenly spaced offsets of the DECODED stream
+    (stdlib PNG/WAV, ``datapipe/media.py``) — scanline bands of an image,
+    sample windows of an audio clip — the standard pre-processing shape
+    for video training data. Undecodable payloads degrade to empty frames
+    per row (dirty web data must not fail the job)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        payloads = batch[self.payload_col].to_pylist()
+        payloads = batch[PAYLOAD_COL].to_pylist()
         n = len(payloads)
-        keep = [c for c in batch.column_names if c != self.payload_col]
+        keep = [c for c in batch.column_names if c != PAYLOAD_COL]
         frames: list[bytes] = []
         for p in payloads:
-            p = p or b""
-            if self.decoder == "real":
-                p = self._decoded_stream(p)
-            # evenly spaced offsets over the (decoded) stream (floor, stable)
-            for f in range(self.n_frames):
-                off = (len(p) * f) // max(self.n_frames, 1)
-                frames.append(p[off : off + self.frame_bytes])
-        idx = pa.array(np.repeat(np.arange(n), self.n_frames))
+            p = _decoded_stream(p or b"")
+            # evenly spaced offsets over the decoded stream (floor, stable)
+            for f in range(N_FRAMES):
+                off = (len(p) * f) // N_FRAMES
+                frames.append(p[off : off + FRAME_BYTES])
+        idx = pa.array(np.repeat(np.arange(n), N_FRAMES))
         cols = {name: batch[name].take(idx) for name in keep}
         cols["frame_idx"] = pa.array(
-            np.tile(np.arange(self.n_frames, dtype=np.int64), n), pa.int64()
+            np.tile(np.arange(N_FRAMES, dtype=np.int64), n), pa.int64()
         )
         cols["frame"] = pa.array(frames, pa.binary())
         return pa.table(cols)
@@ -203,36 +150,16 @@ def resize_nearest(pixels: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 class ImageResizeStage:
     """Actor-pool image-resize stage: decode PNG -> nearest-neighbor
-    resize to (out_h, out_w) -> re-encode PNG, the canonical
+    resize to ``RESIZE_H`` x ``RESIZE_W`` -> re-encode PNG, the canonical
     normalize-resolution preprocessing step for image training data.
     Same per-row degradation contract as ``BinaryFeatureStage``: rows
     whose payload is not a decodable PNG emit ``resize_ok=False`` with
     an empty output payload instead of failing the task, and the output
-    schema is identical for every row (one schema across all blocks).
-
-    Usage:
-        ds.map_batches(ImageResizeStage(out_h=16, out_w=16),
-                       batch_format="pyarrow", batch_size=128,
-                       concurrency=8, num_cpus=1)
-    """
-
-    def __init__(
-        self,
-        payload_col: str = "payload",
-        out_h: int = 16,
-        out_w: int = 16,
-    ) -> None:
-        if out_h <= 0 or out_w <= 0:
-            raise ValueError("output dimensions must be positive")
-        self.payload_col = payload_col
-        self.out_h = out_h
-        self.out_w = out_w
+    schema is identical for every row (one schema across all blocks)."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from eristropy_ray.datapipe.media import decode_png, encode_png
-
-        payloads = batch[self.payload_col].to_pylist()
-        keep = [c for c in batch.column_names if c != self.payload_col]
+        payloads = batch[PAYLOAD_COL].to_pylist()
+        keep = [c for c in batch.column_names if c != PAYLOAD_COL]
         out_payloads: list[bytes] = []
         in_h: list[int] = []
         in_w: list[int] = []
@@ -240,7 +167,7 @@ class ImageResizeStage:
         for p in payloads:
             try:
                 px = decode_png(p or b"")
-                resized = resize_nearest(px, self.out_h, self.out_w)
+                resized = resize_nearest(px, RESIZE_H, RESIZE_W)
                 out_payloads.append(encode_png(resized))
                 in_h.append(px.shape[0])
                 in_w.append(px.shape[1])
@@ -255,10 +182,10 @@ class ImageResizeStage:
         cols["in_height"] = pa.array(in_h, pa.int64())
         cols["in_width"] = pa.array(in_w, pa.int64())
         cols["out_height"] = pa.array(
-            np.full(len(payloads), self.out_h, dtype=np.int64), pa.int64()
+            np.full(len(payloads), RESIZE_H, dtype=np.int64), pa.int64()
         )
         cols["out_width"] = pa.array(
-            np.full(len(payloads), self.out_w, dtype=np.int64), pa.int64()
+            np.full(len(payloads), RESIZE_W, dtype=np.int64), pa.int64()
         )
         cols["resize_ok"] = pa.array(ok, pa.bool_())
         return pa.table(cols)

@@ -51,16 +51,14 @@ _NPARTS = 32  # exchange fan-out (2x CPU at test scale)
 _KNUTH = np.uint64(2654435761)
 
 
-def partition_of(
-    key: pa.Array | pa.ChunkedArray, nparts: int = _NPARTS
-) -> np.ndarray:
-    """Partition id in ``[0, nparts)`` per row of ``key`` (int64)."""
+def partition_of(key: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Partition id in ``[0, _NPARTS)`` per row of ``key`` (int64)."""
     if pa.types.is_integer(key.type):
         ids = pc.fill_null(key, 0).to_numpy(zero_copy_only=False)
         h = ids.astype(np.uint64) * _KNUTH
     else:
         h = pd.util.hash_pandas_object(key.to_pandas(), index=False).to_numpy()
-    return (h % np.uint64(nparts)).astype(np.int64)
+    return (h % np.uint64(_NPARTS)).astype(np.int64)
 
 
 def exchange(

@@ -93,13 +93,11 @@ def cascade_stats(fine: pd.DataFrame, coarse_tier: str) -> pd.DataFrame:
 
 
 def apply_retention(
-    out_dir: str | Path,
-    now_us: int,
-    policy: dict[str, int],
-    subdirs: tuple[str, ...] = ("rollup", "blocks"),
+    out_dir: str | Path, now_us: int, policy: dict[str, int]
 ) -> dict[str, int]:
-    """Delete tier partition files whose entire content is older than
-    ``now_us - policy[tier]``. Returns {tier: files_deleted}.
+    """Delete tier partition files under ``rollup/`` and ``blocks/`` whose
+    entire content is older than ``now_us - policy[tier]``. Returns
+    {tier: files_deleted}.
 
     Files are the checkpoint/resume granularity, so deletion never splits
     a codec stream or a shard. A file survives until its newest COVERED
@@ -161,7 +159,7 @@ def apply_retention(
         cutoff = now_us - max_age
         step = TIER_STEPS_US[tier]
         count = 0
-        for sub in subdirs:
+        for sub in ("rollup", "blocks"):
             for f in out.glob(f"{sub}/**/tier={tier}/*.parquet"):
                 try:
                     pf = pq.ParquetFile(f)

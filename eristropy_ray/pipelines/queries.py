@@ -73,11 +73,18 @@ def _read(path: str, columns: list[str] | None = None, **kw) -> rd.Dataset:
     hashable early exit. Passing ``schema=`` keeps the read a pure read
     op (``count()`` stays a parquet-footer fast path; a strip-metadata
     ``map_batches`` would not) and costs one cached driver-side footer
-    read per (path, columns)."""
+    read per (path, columns).
+
+    The read's context (its own copy of the session's, shared by the
+    Datasets derived from it) raises a map's own exception, so a caller
+    catches, say, ``micros``' ``ValueError`` rather than Ray's
+    ``UserCodeException`` that names it only in text."""
     cols = None if columns is None else tuple(columns)
-    return rd.read_parquet(
+    ds = rd.read_parquet(
         path, columns=columns, schema=_clean_schema(path, cols), **kw
     )
+    ds.context.raise_original_map_exception = True
+    return ds
 
 
 def _events_signals(sf_dir: str) -> rd.Dataset:
@@ -157,9 +164,10 @@ def q_doc_len(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def q_doc_len_quantiles(
-    sf_dir: str, qs: tuple[float, ...] = (0.25, 0.5, 0.75, 0.95, 0.99)
-):
+_DOC_LEN_QS = (0.25, 0.5, 0.75, 0.95, 0.99)  # SQL twin generated
+
+
+def q_doc_len_quantiles(sf_dir: str):
     """EXACT corpus doc-length quantiles via a mergeable histogram.
 
     The 100 TB shape for percentile cutoffs (quality filters pick "drop
@@ -183,6 +191,7 @@ def q_doc_len_quantiles(
         ds.map_batches(lengths, batch_format="pyarrow"), ["len"], {"cnt": "count"},
         pa.schema([("len", pa.int64()), ("cnt", pa.int64())]),
     ).sort_by("len")
+    qs = _DOC_LEN_QS
     out = {"q": [float(q) for q in qs], "value": [np.nan] * len(qs)}
     if hist.num_rows:
         lens = hist["len"].to_numpy().astype(np.float64)
@@ -391,22 +400,26 @@ def q_quality_scores(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _first_ids(sf_dir: str, k: int) -> pd.DataFrame:
-    """The ``k`` smallest vec_ids with a NaN sim (typed when empty)."""
+def _first_ids(sf_dir: str) -> pd.DataFrame:
+    """The first ``_SIMILARITY_K`` vec_ids with a NaN sim (typed when empty)."""
     ds = _read(f"{sf_dir}/embeddings.parquet", columns=["vec_id"])
-    ids = top_k(ds, [("vec_id", "ascending")], k, pa.schema([("vec_id", pa.int64())]))
+    order = [("vec_id", "ascending")]
+    ids = top_k(ds, order, _SIMILARITY_K, pa.schema([("vec_id", pa.int64())]))
     return pd.DataFrame({"vec_id": ids["vec_id"].to_numpy(), "sim": np.nan})
 
 
-def q_similarity_topk(sf_dir: str, k: int = 10):
-    """Brute-force cosine top-k vs the vec_id=0 embedding (broadcast).
+_SIMILARITY_K = 10  # similarity_topk; SQL twin generated
+
+
+def q_similarity_topk(sf_dir: str):
+    """Brute-force cosine top-10 vs the vec_id=0 embedding (broadcast).
 
     The broadcast side is the SINGLE query vector (the correct
     small-side pattern); the row is fetched with a predicate-pushdown
     read so only the row groups whose vec_id range covers 0 leave
     storage — no full-corpus driver read; a ``top_k`` keeps the best
     scores. Without that row every cosine is NULL, as in the SQL twin:
-    the first ``k`` ids with a NaN sim."""
+    the first 10 ids with a NaN sim."""
     import pyarrow.parquet as pq
     import ray
 
@@ -416,7 +429,7 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
         filters=[("vec_id", "==", 0)],
     )
     if len(tbl) == 0:
-        return _first_ids(sf_dir, k)
+        return _first_ids(sf_dir)
     qvec = np.asarray(tbl["embedding"][0].as_py(), dtype=np.float64)
     qref = ray.put(qvec / max(np.sqrt((qvec * qvec).sum()), 1e-30))
 
@@ -440,7 +453,7 @@ def q_similarity_topk(sf_dir: str, k: int = 10):
     scored = ds.map_batches(score, batch_format="pyarrow")
     order = [("sim", "descending"), ("vec_id", "ascending")]
     schema = pa.schema([("vec_id", pa.int64()), ("sim", pa.float64())])
-    return top_k(scored, order, k, schema).to_pandas()
+    return top_k(scored, order, _SIMILARITY_K, schema).to_pandas()
 
 
 def q_sampen_per_signal(sf_dir: str):
@@ -768,10 +781,14 @@ def _collect_pairs(
     return out.reset_index(drop=True)
 
 
-def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
-    """SimHash near-dup pairs: Hamming(sig_a, sig_b) <= ``max_hamming``
-    over 64-bit word-unigram SimHash (rows-only; the SQL-expressible
-    dedup surfaces are minhash_neardup / ngram_jaccard).
+_SIMHASH_MAX_HAMMING = 3  # the 4-chunk pigeonhole's recall bound
+_SIMHASH_BUCKET_CAP = 200
+
+
+def q_simhash_neardup(sf_dir: str):
+    """SimHash near-dup pairs: Hamming(sig_a, sig_b) <= 3 over 64-bit
+    word-unigram SimHash (rows-only; the SQL-expressible dedup surfaces
+    are minhash_neardup / ngram_jaccard).
 
     Scale-safe plan, and SIMPLER than the minhash one because the
     signature (8 bytes) travels with every bucket row, so verification
@@ -783,19 +800,10 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
     expansion carrying both sigs -> inline vectorized Hamming verify ->
     output-scale pair set, deduped across chunks driver-side (the same
     legal small-result pinch as minhash_neardup). The corpus text never
-    moves past the sign stage; buckets over ``bucket_cap`` docs are
-    counted and logged, not silently dropped.
-
-    ``max_hamming`` above 3 raises ``ValueError``: the 4-chunk pigeonhole
-    would no longer guarantee recall. doc_ids are assumed non-negative
+    moves past the sign stage; buckets over 200 docs are counted and
+    logged, not silently dropped. doc_ids are assumed non-negative
     (``doc_a = -1`` marks the over-cap bucket count row)."""
     from eristropy_ray.datapipe.dedup import hamming64_batch, simhash64_arrow
-
-    if max_hamming > 3:
-        raise ValueError(
-            f"max_hamming={max_hamming}: the 4-chunk split guarantees "
-            "recall only up to 3"
-        )
 
     docs = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
@@ -824,9 +832,9 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
         ids = df["doc_id"].to_numpy()
         sigs = df["sig"].to_numpy().view(np.uint64)
         codes = df.groupby("bucket", sort=False).ngroup().to_numpy()
-        a, b, n_over = _bucket_pairs(codes, ids, bucket_cap)
+        a, b, n_over = _bucket_pairs(codes, ids, _SIMHASH_BUCKET_CAP)
         ham = hamming64_batch(sigs[a], sigs[b])
-        ok = ham <= max_hamming
+        ok = ham <= _SIMHASH_MAX_HAMMING
         out = (
             pd.DataFrame({"doc_a": ids[a][ok], "doc_b": ids[b][ok], "hamming": ham[ok]})
             .drop_duplicates(["doc_a", "doc_b"])
@@ -844,22 +852,25 @@ def q_simhash_neardup(sf_dir: str, max_hamming: int = 3, bucket_cap: int = 200):
     pairs = _collect_pairs(
         exchange(banded, "bucket", bucket_pairs),
         "simhash_neardup: %d chunk buckets",
-        bucket_cap,
+        _SIMHASH_BUCKET_CAP,
         {"doc_a": "int64", "doc_b": "int64", "hamming": "int64"},
     )
     return pairs.sort_values(["doc_a", "doc_b"], kind="stable").reset_index(drop=True)
 
 
-def q_doc_chunks(sf_dir: str, max_tokens: int = 128, stride: int = 96):
+_CHUNK_TOKENS, _CHUNK_STRIDE = 128, 96  # doc_chunks windows
+
+
+def q_doc_chunks(sf_dir: str):
     """Token-window document chunking (rows-only): explode each document
     into fixed-token-count overlapping windows — the pre-tokenization
     split a training pipeline runs before sequence packing. One output
     row per (doc, chunk); a pure streaming flat-map (no shuffle, no
     state), so at 100 TB it rides the same wave-parallel scan as every
     other text op. Windows are deterministic (chunk i = tokens
-    [i*stride, i*stride+max_tokens)), overlap = max_tokens - stride,
-    and the union of windows covers every token exactly (pinned by
-    property tests in tests/test_datapipe.py). The explode is fully
+    [96*i, 96*i + 128)), overlapping by 32 tokens, and the union of
+    windows covers every token exactly (pinned by property tests in
+    tests/test_datapipe.py). The explode is fully
     batch-vectorized off the Arrow flat buffer (one whitespace-mask pass
     per batch, ranges-to-indices gather for the chunk text — no per-row
     Python loop; element-identical to the scalar kernel)."""
@@ -869,7 +880,7 @@ def q_doc_chunks(sf_dir: str, max_tokens: int = 128, stride: int = 96):
 
     def explode(b: pa.Table) -> pa.Table:
         doc_idx, chunk_id, first, ntok, text_arr = chunk_token_windows_arrow(
-            b.column("text"), max_tokens, stride
+            b.column("text"), _CHUNK_TOKENS, _CHUNK_STRIDE
         )
         ids = b.column("doc_id").to_numpy()
         return pa.table(
@@ -885,9 +896,12 @@ def q_doc_chunks(sf_dir: str, max_tokens: int = 128, stride: int = 96):
     return ds.map_batches(explode, batch_format="pyarrow")
 
 
-def q_seq_pack(sf_dir: str, capacity: int = 256):
+_SEQ_CAPACITY = 256  # seq_pack tokens per sequence
+
+
+def q_seq_pack(sf_dir: str):
     """Sequence packing (rows-only): assign every document to a
-    fixed-token-capacity training sequence — the step after chunking
+    256-token training sequence — the step after chunking
     that fills model context windows before tokenization.
 
     Plan: one Arrow map_batches computes per-doc token counts (same
@@ -897,8 +911,8 @@ def q_seq_pack(sf_dir: str, capacity: int = 256):
     (``greedy_pack_tokens`` — the scan loop runs per OUTPUT sequence,
     not per doc). Sequences never span partitions, so the shuffle is the
     only exchange and partitions pack independently — at 100 TB each
-    partition's loop count is its token budget / capacity. A doc longer
-    than ``capacity`` gets its own overflowing sequence (callers chunk
+    partition's loop count is its token budget / 256. A doc longer
+    than 256 tokens gets its own overflowing sequence (callers chunk
     first via ``doc_chunks`` if they need hard caps). Output one row per
     doc: (part, seq_id, seq_offset, doc_id, n_tokens), where ``part`` is
     ``partition_of(doc_id)``; (part, seq_id) is the globally unique
@@ -923,7 +937,7 @@ def q_seq_pack(sf_dir: str, capacity: int = 256):
         ntok = t["n_tokens"].to_numpy()
         order = np.argsort(ids, kind="stable")
         ids, ntok = ids[order], ntok[order]
-        seq, off = greedy_pack_tokens(ntok, capacity)
+        seq, off = greedy_pack_tokens(ntok, _SEQ_CAPACITY)
         return pa.table(
             {
                 "part": partition_of(pa.array(ids)),
@@ -999,7 +1013,11 @@ WHERE doc_id % {m} < {thr}
 """
 
 
-def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
+_MINHASH_TAU = 0.5  # minhash_neardup's Jaccard cut; SQL twin generated
+_MINHASH_BUCKET_CAP = 50
+
+
+def q_minhash_neardup(sf_dir: str):
     """MinHash-LSH near-dup candidate pairs, Jaccard-verified (>= 0.5).
 
     Scale-safe plan: vectorized signatures per batch -> explode
@@ -1010,7 +1028,7 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
     one groupby(pair-hash) regroups them -> exact-Jaccard verify per
     pair. The corpus text is never broadcast or collected on the driver
     and never joins: only candidate texts move through the one regroup
-    shuffle. Buckets larger than ``bucket_cap`` docs are counted and
+    shuffle. Buckets larger than 50 docs are counted and
     logged, not silently dropped.
 
     Oracle-exact: on the test corpus LSH recall is 1.0 (every exact
@@ -1052,7 +1070,7 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
         df = df.drop_duplicates(["band_id", "band_hash", "doc_id"])
         ids = df["doc_id"].to_numpy()
         codes = df.groupby(["band_id", "band_hash"], sort=False).ngroup().to_numpy()
-        a, b, n_over = _bucket_pairs(codes, ids, bucket_cap)
+        a, b, n_over = _bucket_pairs(codes, ids, _MINHASH_BUCKET_CAP)
         out = (
             pd.DataFrame({"doc_a": ids[a], "doc_b": ids[b]})
             .drop_duplicates()
@@ -1073,7 +1091,7 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
     pairs_pd = _collect_pairs(
         exchange(banded, "band_hash", bucket_pairs),
         "minhash_neardup: %d LSH buckets",
-        bucket_cap,
+        _MINHASH_BUCKET_CAP,
         {"doc_a": "int64", "doc_b": "int64", "jaccard": "float64"},
     )
     if pairs_pd.empty:
@@ -1173,7 +1191,7 @@ def q_minhash_neardup(sf_dir: str, bucket_cap: int = 50):
             both["doc_a"], both["doc_b"], both["text_a"], both["text_b"]
         ):
             j = jaccard_from_hashes(shingles(ta), shingles(tb))
-            if j >= 0.5:
+            if j >= _MINHASH_TAU:
                 keep["doc_a"].append(int(a))
                 keep["doc_b"].append(int(b))
                 # unrounded: inter/union int->double division is
@@ -1329,47 +1347,46 @@ def _scan_group(tbl: pa.Table):
         yield rid[s : s + 1024], mids, vecs[s : s + 1024] @ m.T, allowed
 
 
-def _topk_partial(k: int):
-    """The one per-group top-(k+1) partial of q_knn_all and q_ann_ivf.
-    Selection is on ROUNDED similarity (4 dp) with id tie-break, as an
-    integer key over the id-sorted members — the (rounded sim DESC, id
-    ASC) total order the merge and the SQL oracle rank by. A global
-    top-k neighbour of q is beaten by < k non-self rows globally, hence
-    by <= k rows (self included) in its group, so the group's top-(k+1)
-    provably contains it."""
+def _topk_partial(tbl: pa.Table) -> pa.Table:
+    """The one per-group top-(k+1) partial of q_knn_all and q_ann_ivf
+    (k = ``_KNN_K``). Selection is on ROUNDED similarity (4 dp) with id
+    tie-break, as an integer key over the id-sorted members — the
+    (rounded sim DESC, id ASC) total order the merge and the SQL oracle
+    rank by. A global top-k neighbour of q is beaten by < k non-self rows
+    globally, hence by <= k rows (self included) in its group, so the
+    group's top-(k+1) provably contains it."""
     masked = np.int64(-(1 << 62))
+    qid, nid, sim = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
+    for qids, mids, dots, allowed in _scan_group(tbl):
+        sims = np.round(dots, 4)
+        n_m = mids.size
+        key = np.rint(sims * 1e4).astype(np.int64) * n_m - np.arange(n_m)
+        key = np.where(allowed, key, masked)
+        kk = min(_KNN_K + 1, n_m)
+        part = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
+        rows = np.arange(qids.size)[:, None]
+        valid = key[rows, part] != masked
+        qid.append(np.repeat(qids, kk)[valid.ravel()])
+        nid.append(mids[part][valid])
+        sim.append(sims[rows, part][valid])
+    return pa.table(
+        {
+            "qid": pa.array(np.concatenate(qid), pa.int64()),
+            "nid": pa.array(np.concatenate(nid), pa.int64()),
+            "sim": pa.array(np.concatenate(sim), pa.float64()),
+        }
+    )
 
-    def topk(tbl: pa.Table) -> pa.Table:
-        qid, nid, sim = [np.empty(0, np.int64)], [np.empty(0, np.int64)], [np.empty(0)]
-        for qids, mids, dots, allowed in _scan_group(tbl):
-            sims = np.round(dots, 4)
-            n_m = mids.size
-            key = np.rint(sims * 1e4).astype(np.int64) * n_m - np.arange(n_m)
-            key = np.where(allowed, key, masked)
-            kk = min(k + 1, n_m)
-            part = np.argpartition(-key, kk - 1, axis=1)[:, :kk]
-            rows = np.arange(qids.size)[:, None]
-            valid = key[rows, part] != masked
-            qid.append(np.repeat(qids, kk)[valid.ravel()])
-            nid.append(mids[part][valid])
-            sim.append(sims[rows, part][valid])
-        return pa.table(
-            {
-                "qid": pa.array(np.concatenate(qid), pa.int64()),
-                "nid": pa.array(np.concatenate(nid), pa.int64()),
-                "sim": pa.array(np.concatenate(sim), pa.float64()),
-            }
-        )
 
-    def merge_topk(tbl: pa.Table) -> pa.Table:
-        return _merge_topk(tbl, k)
-
-    return topk, merge_topk
+def _merge_knn(tbl: pa.Table) -> pa.Table:
+    return _merge_topk(tbl, _KNN_K)
 
 
 #: q_knn_all's fixed member shards: vector ``vec_id % _KNN_SHARDS`` is a
 #: member of one shard, and its query meets every shard.
 _KNN_SHARDS = 8
+#: neighbours per vector of knn_all and ann_ivf (one twin, generated)
+_KNN_K = 5
 
 
 def _knn_assign(ids: np.ndarray, u: np.ndarray):
@@ -1377,8 +1394,8 @@ def _knn_assign(ids: np.ndarray, u: np.ndarray):
     return ids % _KNN_SHARDS, np.broadcast_to(shards, (ids.size, _KNN_SHARDS)), None
 
 
-def q_knn_all(sf_dir: str, k: int = 5):
-    """Exact top-k cosine neighbors for EVERY vector — corpus-sharded
+def q_knn_all(sf_dir: str):
+    """Exact top-5 cosine neighbors for EVERY vector — corpus-sharded
     partial top-k + merge on the shared ``_embedding_plan`` (no
     whole-corpus driver read or ``ray.put`` broadcast; selection stays on
     ROUNDED similarity (4 dp) with id tie-break so the SQL oracle is
@@ -1390,32 +1407,28 @@ def q_knn_all(sf_dir: str, k: int = 5):
     tax; the IVF path is the sub-linear alternative). Each shard's
     ``_topk_partial`` is a dense matmul; ``_merge_topk`` drops the
     self-match."""
-    return _embedding_plan(sf_dir, _knn_assign, "qid", *_topk_partial(k))
+    return _embedding_plan(sf_dir, _knn_assign, "qid", _topk_partial, _merge_knn)
 
 
-#: Default IVF cell count, shared by q_ann_ivf's signature and the
-#: full-probe registered variant — the "ann_ivf" oracle is only valid
-#: while its n_probe equals the cell count, so both must read ONE name.
+#: The IVF layout of ann_ivf and embedding_neardup_ivf: cells trained on
+#: at most ``_IVF_SAMPLE_CAP`` vectors, clustered into ``_IVF_N_SUPER``
+#: proximity supercells.
 _IVF_N_CELLS = 16
+_IVF_N_SUPER = _IVF_N_CELLS // 4
+_IVF_SAMPLE_CAP = 4096
 
 
-def _ivf_assign(
-    sf_dir: str,
-    n_cells: int,
-    n_probe: int,
-    sample_cap: int,
-    n_super: int | None,
-):
+def _ivf_assign(sf_dir: str, n_probe: int):
     """The trained IVF assignment rule of ``_embedding_plan`` (used by
-    ``q_ann_ivf`` and ``q_embedding_neardup_ivf``): train centroids on a
-    bounded deterministic sample, cluster them into proximity
-    supercells, broadcast both once. A vector's member group is its
-    nearest cell's supercell; its query reaches the supercells of its
+    ``q_ann_ivf`` at every cell and ``q_embedding_neardup_ivf`` at 8):
+    train centroids on a bounded deterministic sample, cluster them into
+    proximity supercells, broadcast both once. A vector's member group is
+    its nearest cell's supercell; its query reaches the supercells of its
     ``n_probe`` nearest cells (the top probe cell is the member cell, so
     copies ship only to the OTHER distinct ones), carrying (member cell,
     probe cells). n_probe is clamped to the trained centroid count so
-    tiny corpora / small n_cells cannot produce ragged probe lists.
-    None for an empty embedding table: there is no sample to train on."""
+    tiny corpora cannot produce ragged probe lists. None for an empty
+    embedding table: there is no sample to train on."""
     import ray
 
     from eristropy_ray.datapipe.similarity import (
@@ -1434,7 +1447,7 @@ def _ivf_assign(
         return None
     # power-of-2 stride so the mask is a cheap bit_wise_and
     stride = 1
-    while n_total // stride > sample_cap:
+    while n_total // stride > _IVF_SAMPLE_CAP:
         stride *= 2
 
     def sample_mask(b: pa.Table) -> pa.Table:
@@ -1445,7 +1458,7 @@ def _ivf_assign(
 
     sample_tbl = pa.Table.from_pandas(
         emb.map_batches(sample_mask, batch_format="pyarrow")
-        .limit(sample_cap)
+        .limit(_IVF_SAMPLE_CAP)
         .to_pandas()
     )
     s_ids = sample_tbl["vec_id"].to_numpy()
@@ -1454,11 +1467,9 @@ def _ivf_assign(
         sample_tbl["embedding"].combine_chunks().flatten(), dtype=np.float64
     )
     s_vecs = s_flat.reshape(len(s_ids), s_flat.size // len(s_ids))[order]
-    centroids = _kmeans(unit_rows(s_vecs), n_cells, seed=7)
+    centroids = _kmeans(unit_rows(s_vecs), _IVF_N_CELLS, seed=7)
     n_probe = min(n_probe, centroids.shape[0])
-    if n_super is None:
-        n_super = max(2, n_cells // 4)
-    cref = ray.put((centroids, supercell_assign(centroids, n_super)))
+    cref = ray.put((centroids, supercell_assign(centroids, _IVF_N_SUPER)))
 
     def assign(ids: np.ndarray, u: np.ndarray):
         c, csuper = ray.get(cref)
@@ -1470,58 +1481,41 @@ def _ivf_assign(
     return assign
 
 
-def q_ann_ivf(
-    sf_dir: str,
-    k: int = 5,
-    n_cells: int = _IVF_N_CELLS,
-    n_probe: int = 4,
-    sample_cap: int = 4096,
-    n_super: int | None = None,
-):
-    """IVF approximate nearest neighbors — distributed build AND probe.
+def q_ann_ivf(sf_dir: str):
+    """IVF nearest neighbors (top 5) — distributed build AND probe,
+    probing every cell, where IVF is exactly brute force, so the ENTIRE
+    distributed machinery is oracle-checkable against ``knn_all``'s SQL
+    twin (selection on rounded similarity with id tie-break is the
+    shared reproducible order).
 
     Scale shape (no full-corpus driver read anywhere):
       1. centroids are k-means-trained on a bounded deterministic sample
-         (vec_id stride mask, capped at ``sample_cap`` rows — the only
-         driver materialization besides the final result) and broadcast
-         once via ``ray.put``; the cells are then clustered into
-         ``n_super`` proximity supercells (``_ivf_assign``);
+         (vec_id stride mask, capped at 4096 rows — the only driver
+         materialization besides the final result) and broadcast once
+         via ``ray.put``; the 16 cells are then clustered into 4
+         proximity supercells (``_ivf_assign``);
       2. the shared ``_embedding_plan`` routes every vector to its
          nearest cell's supercell (role=member, shipped ONCE; the member
          row doubles as the query in its own supercell) and ships query
-         copies only to the OTHER distinct supercells among its
-         ``n_probe`` nearest cells, each carrying its probe-cell list.
-         The shuffle therefore carries 1 + E[distinct other probe
-         supercells] times the embedding table: ~2.7x on adversarial
-         uniform-random vectors (this corpus; asserted < n_probe in
-         tests/test_datapipe.py) and approaching 1x on clustered real
-         corpora, vs a flat (1 + n_probe) = 5x for naive per-cell
-         routing;
+         copies only to the OTHER distinct supercells among its probe
+         cells, each carrying its probe-cell list. The shuffle therefore
+         carries 1 + E[distinct other probe supercells] times the
+         embedding table, vs a flat (1 + n_probe) for naive per-cell
+         routing (at n_probe = 4: ~2.7x on adversarial uniform-random
+         vectors, asserted < n_probe in tests/test_datapipe.py);
       3. per-supercell top-(k+1) partials (``_topk_partial``, shared
          with q_knn_all) mask members whose cell is not in the query's
          probe list (IVF semantics preserved exactly — parity-tested);
       4. an exchange on qid merges partials into the global top-k.
-    At cluster scale ``n_super`` rises with the node count so one
-    supercell's members fit a worker's heap; probe locality persists
-    because supercells group neighboring centroids.
-    Recall vs brute force and parity with the single-process
-    ``IVFIndex`` are asserted in tests/test_datapipe.py.
+    At cluster scale the supercell count rises with the node count so
+    one supercell's members fit a worker's heap; probe locality persists
+    because supercells group neighboring centroids. Partial probing
+    (``_ivf_assign`` with n_probe < 16) keeps its own pins in
+    tests/test_datapipe.py: parity with the single-process ``IVFIndex``
+    and the routing replication factor.
     """
-    assign = _ivf_assign(sf_dir, n_cells, n_probe, sample_cap, n_super)
-    return _embedding_plan(sf_dir, assign, "qid", *_topk_partial(k))
-
-
-def q_ann_ivf_fullprobe(sf_dir: str):
-    """Driver-checked configuration of ``q_ann_ivf``: probing every cell
-    (n_probe = n_cells) makes IVF ≡ brute force, so the ENTIRE
-    distributed machinery — sample-trained centroids, supercell routing,
-    per-supercell rounded-sim partials, query-hash merge — is
-    oracle-checkable against ``knn_all``'s SQL twin (selection on
-    rounded similarity with id tie-break is the shared reproducible
-    order). The approximate default (n_probe=4) keeps its own pins:
-    parity with the single-process IVFIndex and recall vs brute force in
-    tests/test_datapipe.py."""
-    return q_ann_ivf(sf_dir, n_probe=_IVF_N_CELLS)
+    assign = _ivf_assign(sf_dir, _IVF_N_CELLS)
+    return _embedding_plan(sf_dir, assign, "qid", _topk_partial, _merge_knn)
 
 
 def _uniq_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
@@ -1536,35 +1530,35 @@ def _uniq_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
     )
 
 
-def q_embedding_neardup_ivf(
-    sf_dir: str,
-    tau: float = 0.45,
-    n_cells: int = _IVF_N_CELLS,
-    n_probe: int = 8,
-    sample_cap: int = 4096,
-    n_super: int | None = None,
-):
+#: cosine cut of embedding_neardup and its IVF scale path (one twin,
+#: generated), and the scale path's probe count
+_NEARDUP_TAU = 0.45
+_NEARDUP_IVF_N_PROBE = 8
+
+
+def q_embedding_neardup_ivf(sf_dir: str):
     """Embedding-cosine near-dup pairs via IVF cell bucketing — the SCALE
     path of ``q_embedding_neardup`` (its all-pairs exactness twin): a
     pair is a candidate iff one side's member cell is among the other
-    side's ``n_probe`` probe cells, so per-group work is ~n²/n_cells
-    instead of n² and nothing is broadcast. Same ``_embedding_plan`` and
-    IVF routing as ``q_ann_ivf``; the per-supercell partial keeps the
-    scanned pairs at cosine >= ``tau`` and the exchange on vec_a dedupes
-    pairs found from both sides' probes or several supercells. Emits
-    (vec_a, vec_b) id pairs; recall vs the exact pair set is asserted in
+    side's 8 probe cells, so per-group work is ~n²/16 instead of n² and
+    nothing is broadcast. Same ``_embedding_plan`` and IVF routing as
+    ``q_ann_ivf``; the per-supercell partial keeps the scanned pairs at
+    cosine >= 0.45 and the exchange on vec_a dedupes pairs found from
+    both sides' probes or several supercells. Emits (vec_a, vec_b) id
+    pairs; recall vs the exact pair set is asserted in
     tests/test_datapipe.py (rows-only: candidate coverage is
-    data-dependent, the exactness baseline is the oracle's job).
-    ``n_probe`` defaults to 8 (vs 4 for top-k search): a near-dup pair
-    at a LOW tau can sit far from both its cell centroids, so near-dup
-    bucketing needs wider probing — 8/16 cells recovers the full exact
-    pair set on the 500-vector test corpora (not on sf0.1's 2,000: 4 of
-    144 pairs are missed) while still halving the work."""
+    data-dependent, the exactness baseline is the oracle's job). A
+    near-dup pair at a LOW tau can sit far from both its cell centroids,
+    so near-dup bucketing probes wider than top-k search — 8/16 cells
+    recovers the full exact pair set on the 500-vector test corpora (not
+    on sf0.1's 2,000: 4 of 144 pairs are missed) while still halving the
+    work."""
 
     def super_pairs(tbl: pa.Table) -> pa.Table:
         a, b = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for qids, mids, dots, allowed in _scan_group(tbl):
-            qi, mi = np.nonzero((dots >= tau) & allowed & (qids[:, None] != mids))
+            hit = (dots >= _NEARDUP_TAU) & allowed & (qids[:, None] != mids)
+            qi, mi = np.nonzero(hit)
             a.append(np.minimum(qids[qi], mids[mi]))
             b.append(np.maximum(qids[qi], mids[mi]))
         return _uniq_pairs(np.concatenate(a), np.concatenate(b))
@@ -1574,17 +1568,17 @@ def q_embedding_neardup_ivf(
             tbl.column("vec_a").to_numpy(), tbl.column("vec_b").to_numpy()
         )
 
-    assign = _ivf_assign(sf_dir, n_cells, n_probe, sample_cap, n_super)
+    assign = _ivf_assign(sf_dir, _NEARDUP_IVF_N_PROBE)
     return _embedding_plan(sf_dir, assign, "vec_a", super_pairs, dedupe)
 
 
-def q_embedding_neardup(sf_dir: str, tau: float = 0.45):
-    """Embedding-cosine near-duplicate pairs (exact all-pairs baseline vs
-    a broadcast unit matrix — the labeled small-corpus baseline; the scale
-    path buckets by IVF cell first). Emits pair ids only: the cosine
-    itself differs from DuckDB's sequential accumulation in the last ulp,
-    while threshold membership is stable (the nearest pair sits ~5e-4
-    from tau on this corpus)."""
+def q_embedding_neardup(sf_dir: str):
+    """Embedding-cosine near-duplicate pairs at cosine >= 0.45 (exact
+    all-pairs baseline vs a broadcast unit matrix — the labeled
+    small-corpus baseline; the scale path buckets by IVF cell first).
+    Emits pair ids only: the cosine itself differs from DuckDB's
+    sequential accumulation in the last ulp, while threshold membership
+    is stable (the nearest pair sits ~5e-4 from 0.45 on this corpus)."""
     import pyarrow.parquet as pq
     import ray
 
@@ -1608,7 +1602,9 @@ def q_embedding_neardup(sf_dir: str, tau: float = 0.45):
         q = qf.reshape(nq, qf.size // nq) if nq else qf.reshape(0, 0)
         qu = q / np.maximum(np.sqrt((q * q).sum(axis=1, keepdims=True)), 1e-30)
         sims = qu @ c_unit.T
-        qi, ci = np.nonzero((sims >= tau) & (c_ids[None, :] > q_ids[:, None]))
+        qi, ci = np.nonzero(
+            (sims >= _NEARDUP_TAU) & (c_ids[None, :] > q_ids[:, None])
+        )
         rows_a, rows_b = q_ids[qi].astype(np.int64), c_ids[ci].astype(np.int64)
         return pa.table(
             {
@@ -1620,8 +1616,11 @@ def q_embedding_neardup(sf_dir: str, tau: float = 0.45):
     return ds.map_batches(pairs, batch_format="pyarrow")
 
 
-def q_ngram_jaccard(sf_dir: str, tau: float = 0.5, k: int = 3):
-    """Exact all-pairs character-n-gram Jaccard near-dup (the exactness
+_NGRAM_TAU, _NGRAM_K = 0.5, 3  # ngram_jaccard; SQL twin generated
+
+
+def q_ngram_jaccard(sf_dir: str):
+    """Exact all-pairs character-3-gram Jaccard near-dup (the exactness
     baseline; minhash_neardup is the scale path). Corpus gram incidence
     is packed into bitsets (one bit per vocab gram) and broadcast once —
     ~2 MB per 5k docs at a 30k-gram vocab — then each batch scores its
@@ -1639,9 +1638,9 @@ def q_ngram_jaccard(sf_dir: str, tau: float = 0.5, k: int = 3):
     def grams(t: str) -> np.ndarray:
         if len(t) == 0:
             return np.array([np.uint64(0)], dtype=np.uint64)  # SQL: {''}
-        if len(t) < k:
+        if len(t) < _NGRAM_K:
             return np.unique(rolling_kgram_hashes(t, len(t)))
-        return np.unique(rolling_kgram_hashes(t, k))
+        return np.unique(rolling_kgram_hashes(t, _NGRAM_K))
 
     gram_sets = [grams(t) for t in texts]
     vocab = np.unique(np.concatenate([np.empty(0, np.uint64), *gram_sets]))
@@ -1676,7 +1675,7 @@ def q_ngram_jaccard(sf_dir: str, tau: float = 0.5, k: int = 3):
             )
             union = c_sizes[qi] + c_sizes[qi + 1 :] - inter
             j = inter / np.maximum(union, 1)
-            hit = np.flatnonzero(j >= tau)
+            hit = np.flatnonzero(j >= _NGRAM_TAU)
             rows["doc_a"].extend([int(qid)] * hit.size)
             rows["doc_b"].extend(c_ids[qi + 1 :][hit].tolist())
             rows["jaccard"].extend(j[hit].tolist())
@@ -1691,8 +1690,11 @@ def q_ngram_jaccard(sf_dir: str, tau: float = 0.5, k: int = 3):
     return ds.map_batches(pairs, batch_format="pyarrow")
 
 
-def q_vocab_topk(sf_dir: str, k: int = 50):
-    """Corpus vocabulary: top-k words by total frequency (count desc, word
+_VOCAB_K = 50  # vocab_topk; SQL twin generated
+
+
+def q_vocab_topk(sf_dir: str):
+    """Corpus vocabulary: top-50 words by total frequency (count desc, word
     asc). The classic wordcount shape with the scalable pre-aggregation:
     per-batch word counts collapse each batch to its distinct words
     BEFORE the shuffle, so the exchange carries (word, partial-count)
@@ -1721,16 +1723,19 @@ def q_vocab_topk(sf_dir: str, k: int = 50):
     counts = keyed_combine(partials, ["word"], {"n": "sum"})
     order = [("n", "descending"), ("word", "ascending")]
     schema = pa.schema([("word", pa.string()), ("n", pa.int64())])
-    return top_k(counts, order, k, schema).to_pandas()
+    return top_k(counts, order, _VOCAB_K, schema).to_pandas()
 
 
 def _uid_key(t: pa.Table) -> np.ndarray:
     return t["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
 
 
-def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
+_BLOOM_M_BITS = 1 << 17  # bloom_semijoin / anti_join filter size
+
+
+def _purchaser_fold(ev: rd.Dataset, key_of=_uid_key):
     """ONE fold over the build side producing two mergeable summaries
-    per batch: the OR-mergeable m/8-byte Bloom bits (fixed size) and the
+    per batch: the OR-mergeable 16 KiB Bloom bits (fixed size) and the
     union-mergeable DISTINCT purchaser key set (key-dimension-sized — it
     grows with distinct keys, not with the event stream, and is the
     explicit scale bound of the exact-verify side), reduced by
@@ -1749,7 +1754,7 @@ def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
     def build_partial(b: pa.Table) -> pa.Table:
         t = b.filter(pc.equal(b["event_type"], "purchase"))
         uid = key_of(t)
-        bits = bloom_build(uid, m_bits)
+        bits = bloom_build(uid, _BLOOM_M_BITS)
         return pa.table(
             {
                 "bits": pa.array([bits.tobytes()], pa.binary()),
@@ -1758,7 +1763,7 @@ def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
         )
 
     def combine(parts: list[pa.Table]) -> pa.Table:
-        acc = np.zeros(m_bits // 8, dtype=np.uint8)
+        acc = np.zeros(_BLOOM_M_BITS // 8, dtype=np.uint8)
         ids = [np.empty(0, np.int64)]
         for t in parts:
             for payload in t["bits"].to_pylist():
@@ -1779,7 +1784,7 @@ def _purchaser_fold(ev: rd.Dataset, m_bits: int, key_of=_uid_key):
     return ray.put((merged, exact_ids))
 
 
-def q_bloom_semijoin(sf_dir: str, m_bits: int = 1 << 17):
+def q_bloom_semijoin(sf_dir: str):
     """Semi-join via a Bloom prefilter plus exact verification: click
     events by users who made a purchase. Probe applies the Bloom mask
     first (4 cheap hash probes per row prune non-members before the
@@ -1799,7 +1804,7 @@ def q_bloom_semijoin(sf_dir: str, m_bits: int = 1 << 17):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value", "event_type"],
     )
-    bref = _purchaser_fold(ev, m_bits)
+    bref = _purchaser_fold(ev)
 
     def probe(b: pa.Table) -> pa.Table:
         bits, exact = ray.get(bref)
@@ -1837,7 +1842,7 @@ def _user_day_key(t: pa.Table) -> np.ndarray:
     return uid * (1 << 21) + day
 
 
-def q_anti_join(sf_dir: str, m_bits: int = 1 << 17):
+def q_anti_join(sf_dir: str):
     """Anti-join — the complement of ``q_bloom_semijoin``: click events
     on (user, day) pairs with NO purchase by that user that day
     (completing the join family: co-partitioned inner
@@ -1864,7 +1869,7 @@ def q_anti_join(sf_dir: str, m_bits: int = 1 << 17):
         f"{sf_dir}/events.parquet",
         columns=["event_id", "user_id", "ts", "value", "event_type"],
     )
-    bref = _purchaser_fold(ev, m_bits, key_of=_user_day_key)
+    bref = _purchaser_fold(ev, key_of=_user_day_key)
 
     def probe(b: pa.Table) -> pa.Table:
         bits, exact = ray.get(bref)
@@ -1890,18 +1895,22 @@ def q_anti_join(sf_dir: str, m_bits: int = 1 << 17):
     return ev.map_batches(probe, batch_format="pyarrow")
 
 
-def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
-    """Approximate heavy hitters (frequent words) via mergeable
+_HEAVY_HITTERS_K = 256  # Misra-Gries summary size
+_HEAVY_HITTERS_TOPN = 20  # heavy_hitters rows; SQL twin generated
+
+
+def q_heavy_hitters(sf_dir: str):
+    """Approximate heavy hitters (top-20 frequent words) via mergeable
     Misra-Gries summaries — the sketch counterpart to the exact
-    ``vocab_topk``: each batch collapses to at most ``k_summary``
+    ``vocab_topk``: each batch collapses to at most 256
     (word, estimate) rows, and ``exchange.fold`` merges those summaries
     within each task and once on the driver, so no step holds more than
     O(tasks x k) rows, independent of corpus size (at 100 TB the exact
     wordcount's (word, count) exchange is vocabulary-sized; this one is
     constant per task). Estimates undercount by at most
-    n_total/k_summary (mergeability bound, Agarwal et al. PODS'12) —
+    n_total/256 (mergeability bound, Agarwal et al. PODS'12) —
     pinned against exact counts in tests/test_datapipe.py. Oracle-backed
-    since round 5: when the corpus vocabulary fits k_summary (true of
+    since round 5: when the corpus vocabulary fits the summary (true of
     the test corpus: 31 words << 256) MG never evicts, estimates equal
     exact counts, and the SQL twin checks the entire distributed plan."""
     from eristropy_ray.datapipe.sketch import mg_merge
@@ -1928,7 +1937,7 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
             [(np.empty(0, object), np.empty(0, np.int64))]
             + [(t["word"].to_numpy(zero_copy_only=False).astype(object),
                 t["est"].to_numpy()) for t in parts],
-            k_summary,
+            _HEAVY_HITTERS_K,
         )
         return pa.table(
             {"word": pa.array(items.astype(str), pa.string()),
@@ -1938,7 +1947,7 @@ def q_heavy_hitters(sf_dir: str, k_summary: int = 256, topn: int = 20):
     merged = fold(ds, partial, mg_combine)
     items = merged["word"].to_numpy(zero_copy_only=False).astype(str)
     counts = merged["est"].to_numpy()
-    order = np.lexsort((items, -counts))[:topn]
+    order = np.lexsort((items, -counts))[:_HEAVY_HITTERS_TOPN]
     return pd.DataFrame(
         {"word": items[order].astype(str), "est": counts[order]}
     ).astype({"est": "int64"})
@@ -1987,21 +1996,19 @@ def q_split_contamination(sf_dir: str):
             split_a=pd.Series(dtype="object"), split_b=pd.Series(dtype="object")
         )
 
-    def split_of(ids: np.ndarray) -> np.ndarray:
-        p = np.int64(1000000007)
-        h = ((ids % p + p) % p) * 2654435761 % p % 100
-        return np.where(h < 80, "train", np.where(h < 90, "val", "test"))
-
-    sa = split_of(pairs["doc_a"].to_numpy())
-    sb = split_of(pairs["doc_b"].to_numpy())
+    sa = _split_of(pairs["doc_a"].to_numpy())
+    sb = _split_of(pairs["doc_b"].to_numpy())
     out = pairs.assign(split_a=sa, split_b=sb)
     return out[out["split_a"] != out["split_b"]].reset_index(drop=True)
 
 
-def q_repetition(sf_dir: str, k: int = 10):
+_REPETITION_K = 10  # repetition's gram width; SQL twin generated
+
+
+def q_repetition(sf_dir: str):
     """Per-document repetition ratio: 1 - distinct/total character
-    k-grams — the boilerplate/spam quality signal. Stateless vectorized
-    pass; distinct counts the ACTUAL k-char substrings (UTF-32 sliding
+    10-grams — the boilerplate/spam quality signal. Stateless vectorized
+    pass; distinct counts the ACTUAL 10-char substrings (UTF-32 sliding
     windows uniqued as fixed-width byte records), not their hashes, so
     the substring-based SQL twin matches UNCONDITIONALLY — no rolling-
     hash collision can undercount. The ratio is an int/int division,
@@ -2009,6 +2016,8 @@ def q_repetition(sf_dir: str, k: int = 10):
     from numpy.lib.stride_tricks import sliding_window_view
 
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
+
+    k = _REPETITION_K
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         total = np.empty(len(df), dtype=np.int64)
@@ -2087,7 +2096,7 @@ def q_multimodal_features(sf_dir: str):
     ds = _read(f"{sf_dir}/documents.parquet", columns=["doc_id", "text"])
 
     feats = ds.map_batches(_synthesize_payloads, batch_format="pyarrow").map_batches(
-        BinaryFeatureStage(extractor="real"),
+        BinaryFeatureStage(),
         batch_format="pyarrow",
         batch_size=128,  # small: payload rows are wide
         concurrency=4,
@@ -2109,9 +2118,9 @@ def q_multimodal_features(sf_dir: str):
     return feats.map_batches(project, batch_format="pyarrow")
 
 
-def q_image_resize(sf_dir: str, out_h: int = 16, out_w: int = 16):
-    """Image resize pipeline — decode PNG -> nearest-neighbor resize ->
-    re-encode — over the same deterministic payloads as
+def q_image_resize(sf_dir: str):
+    """Image resize pipeline — decode PNG -> nearest-neighbor resize to
+    16x16 -> re-encode — over the same deterministic payloads as
     ``multimodal_features`` (rows-only: codec byte streams aren't SQL).
     Real resolution normalization for image training data: PNG rows are
     actually decoded, resampled with the half-pixel-center gather and
@@ -2126,7 +2135,7 @@ def q_image_resize(sf_dir: str, out_h: int = 16, out_w: int = 16):
     resized = ds.map_batches(
         _synthesize_payloads, batch_format="pyarrow"
     ).map_batches(
-        ImageResizeStage(out_h=out_h, out_w=out_w),
+        ImageResizeStage(),
         batch_format="pyarrow",
         batch_size=128,  # small: payload rows are wide
         concurrency=4,
@@ -2146,9 +2155,9 @@ def q_image_resize(sf_dir: str, out_h: int = 16, out_w: int = 16):
     return resized.map_batches(project, batch_format="pyarrow")
 
 
-def q_frame_sample(sf_dir: str, n_frames: int = 4, frame_bytes: int = 32):
-    """Video-style frame sampling — 1->N explode of evenly spaced windows
-    of each DECODED payload (scanline bands of PNGs, sample windows of
+def q_frame_sample(sf_dir: str):
+    """Video-style frame sampling — 1->4 explode of evenly spaced 32-byte
+    windows of each DECODED payload (scanline bands of PNGs, sample windows of
     WAV clips; undecodable rows degrade to empty frames) — over the same
     deterministic payloads as ``multimodal_features`` (rows-only: codec
     byte streams aren't SQL). The canonical video pre-processing shape:
@@ -2161,9 +2170,7 @@ def q_frame_sample(sf_dir: str, n_frames: int = 4, frame_bytes: int = 32):
     frames = ds.map_batches(
         _synthesize_payloads, batch_format="pyarrow"
     ).map_batches(
-        FrameSampleStage(
-            n_frames=n_frames, frame_bytes=frame_bytes, decoder="real"
-        ),
+        FrameSampleStage(),
         batch_format="pyarrow",
         batch_size=128,  # small: payload rows are wide
         concurrency=4,
@@ -2183,11 +2190,12 @@ def q_frame_sample(sf_dir: str, n_frames: int = 4, frame_bytes: int = 32):
     return frames.map_batches(project, batch_format="pyarrow")
 
 
-def q_clean_corpus(
-    sf_dir: str,
-    min_chars: int = 100,
-    max_punct: float = 0.1,
-):
+#: clean_corpus's quality filter: at least 100 chars, punctuation share
+#: below 0.1 (SQL twin generated)
+_CLEAN_MIN_CHARS, _CLEAN_MAX_PUNCT = 100, 0.1
+
+
+def q_clean_corpus(sf_dir: str):
     """End-to-end corpus cleaning composition — the pipeline shape a
     training-data user actually runs: length/quality filter -> exact
     dedup (content-hash groupby, keep min doc_id) -> English-only
@@ -2206,13 +2214,13 @@ def q_clean_corpus(
         n_chars = pc.utf8_length(b["text"])
         punct = pc.count_substring_regex(b["text"], pattern=r"[.!?,;:]")
         keep = pc.and_(
-            pc.greater_equal(n_chars, min_chars),
+            pc.greater_equal(n_chars, _CLEAN_MIN_CHARS),
             pc.less(
                 pc.divide(
                     pc.cast(punct, pa.float64()),
                     pc.cast(n_chars, pa.float64()),
                 ),
-                max_punct,
+                _CLEAN_MAX_PUNCT,
             ),
         )
         sub = b.filter(pc.fill_null(keep, False))
@@ -2244,32 +2252,34 @@ def q_clean_corpus(
     )
 
 
-def q_hopping_window(sf_dir: str, span_us: int = 3_600_000_000,
-                     slide_us: int = 900_000_000):
+#: hopping_window: windows of _HOPS slides, so each event is in exactly
+#: _HOPS windows (SQL twin generated)
+_HOP_SLIDE_US, _HOPS = 900_000_000, 4
+
+
+def q_hopping_window(sf_dir: str):
     """Hopping (sliding) window aggregate: 1h windows advancing every
-    15m per user. Each event explodes to its span/slide windows inside
+    15m per user. Each event explodes to its 4 windows inside
     ``map_batches`` (vectorized repeat), and one keyed combine on
     (user, window) sums exact integer-micro partials — the shuffle moves
     per-(user, window) partials, never the exploded rows."""
     ds = _read(
         f"{sf_dir}/events.parquet", columns=["user_id", "ts", "value"]
     )
-    n_hops = -(-span_us // slide_us)  # ceil: span need not divide slide
 
     def explode(b: pa.Table) -> pa.Table:
         ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
         v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        base = ts - ts % slide_us
-        k = np.arange(n_hops, dtype=np.int64) * slide_us
-        starts = base[:, None] - k[None, :]
-        # membership: start <= ts (by construction) AND ts < start + span
-        keep = (ts[:, None] < starts + span_us).reshape(-1)
+        # the window starting at the event's slide and the _HOPS - 1
+        # before it: a span is a whole number of slides, so all contain ts
+        hops = np.arange(_HOPS, dtype=np.int64) * _HOP_SLIDE_US
+        starts = (ts - ts % _HOP_SLIDE_US)[:, None] - hops[None, :]
         return pa.table(
             {
-                "signal_id": pa.array(np.repeat(uid, n_hops)[keep], pa.int64()),
-                "window_start_us": pa.array(starts.reshape(-1)[keep], pa.int64()),
-                "sum_mu": pa.array(np.repeat(micros(v), n_hops)[keep], pa.int64()),
+                "signal_id": pa.array(np.repeat(uid, _HOPS), pa.int64()),
+                "window_start_us": pa.array(starts.reshape(-1), pa.int64()),
+                "sum_mu": pa.array(np.repeat(micros(v), _HOPS), pa.int64()),
             }
         )
 
@@ -2287,22 +2297,23 @@ def q_hopping_window(sf_dir: str, span_us: int = 3_600_000_000,
     )
 
 
-def q_streaming_window(
-    sf_dir: str,
-    step_us: int = US_1H,
-    lateness_us: int = 1_800_000_000,
-    delay_shift: int = 40,
-):
+#: streaming_window's delayed arrivals (event_id % 16 == 5 arrives 40
+#: positions late) and allowed lateness; SQL twin generated
+_STREAM_DELAY_EVERY, _STREAM_DELAY_AT, _STREAM_DELAY_SHIFT = 16, 5, 40
+_STREAM_LATENESS_US = 1_800_000_000
+
+
+def q_streaming_window(sf_dir: str):
     """Streaming tumbling windows with a per-key WATERMARK and an
     allowed-lateness drop policy — the streaming-window operator.
 
     Events are processed in ARRIVAL order; the watermark per key is the
-    running max event-time of prior arrivals minus ``lateness_us``; an
+    running max event-time of prior arrivals minus 30 minutes; an
     arrival whose event-time is below the watermark is dropped as late
-    (counted per window), everything else aggregates into its tumbling
-    window. The synthetic feed is perfectly time-ordered, so a
+    (counted per window), everything else aggregates into its 1h
+    tumbling window. The synthetic feed is perfectly time-ordered, so a
     deterministic delayed-arrival permutation (every 16th event arrives
-    ``delay_shift`` positions late — mirrored exactly in the SQL twin)
+    40 positions late — mirrored exactly in the SQL twin)
     exercises the late path for real: at sf0.01, 131 events arrive out
     of order, 105 fall below the watermark and are dropped, 26 are
     accepted within lateness.
@@ -2319,7 +2330,8 @@ def q_streaming_window(
     def to_typed(b: pa.Table) -> pa.Table:
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        arrival = eid + np.where(eid % 16 == 5, delay_shift, 0)
+        delayed = eid % _STREAM_DELAY_EVERY == _STREAM_DELAY_AT
+        arrival = eid + np.where(delayed, _STREAM_DELAY_SHIFT, 0)
         return pa.table(
             {
                 "signal_id": pa.array(uid, pa.int64()),
@@ -2339,8 +2351,8 @@ def q_streaming_window(
         g = df.groupby("signal_id", sort=False)
         # watermark at each arrival: cummax of PRIOR arrivals' event time
         prev_max = g["ts_us"].cummax().groupby(df["signal_id"]).shift(1)
-        late = df["ts_us"] < prev_max - lateness_us  # NaN -> False (first)
-        win = df["ts_us"] - df["ts_us"] % step_us
+        late = df["ts_us"] < prev_max - _STREAM_LATENESS_US  # NaN -> False
+        win = df["ts_us"] - df["ts_us"] % US_1H
         out = (
             pd.DataFrame(
                 {
@@ -2398,7 +2410,11 @@ def q_distinct_users(sf_dir: str):
     return fold_by(partials, ["event_type"], {"n_users": "sum"}, schema).to_pandas()
 
 
-def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
+_HLL_P = 12  # distinct_users_approx: 2^12 registers
+_HDR_M = 7  # value_quantiles_hdr: 2^7 sub-buckets per power of two
+
+
+def _hll_partial_by_type(b: pa.Table) -> pa.Table:
     """One HLL register row per event_type of the batch."""
     from eristropy_ray.datapipe.sketch import hll_partial
 
@@ -2409,14 +2425,16 @@ def _hll_partial_by_type(b: pa.Table, p: int) -> pa.Table:
     order = np.argsort(et, kind="stable")
     et, uid = et[order], uid[order]
     bounds = np.append(segment_starts(et), et.size)
-    regs = [hll_partial(uid[a:z], p).tobytes() for a, z in zip(bounds, bounds[1:])]
+    regs = [
+        hll_partial(uid[a:z], _HLL_P).tobytes() for a, z in zip(bounds, bounds[1:])
+    ]
     return pa.table(
         {"event_type": pa.array(et[bounds[:-1]], pa.string()),
          "regs": pa.array(regs, pa.binary())}
     )
 
 
-def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
+def _hdr_partial_by_type(b: pa.Table) -> pa.Table:
     """(event_type, bucket, n) HDR summary rows of the batch."""
     from eristropy_ray.datapipe.sketch import hdr_partial
 
@@ -2426,7 +2444,7 @@ def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
     order = np.argsort(et, kind="stable")
     et, val = et[order], val[order]
     bounds = np.append(segment_starts(et), et.size)
-    parts = [hdr_partial(val[a:z], m) for a, z in zip(bounds, bounds[1:])]
+    parts = [hdr_partial(val[a:z], _HDR_M) for a, z in zip(bounds, bounds[1:])]
     empty = np.empty(0, np.int64)
     return pa.table(
         {
@@ -2439,10 +2457,10 @@ def _hdr_partial_by_type(b: pa.Table, m: int) -> pa.Table:
     )
 
 
-def q_distinct_users_approx(sf_dir: str, p: int = 12):
+def q_distinct_users_approx(sf_dir: str):
     """HyperLogLog distinct users per event_type (rows-only; the error
     bound vs the exact count is pinned in tests). Each batch reduces to
-    one 2^p-byte register row per event_type; a ``fold`` merges each
+    one 4 KiB register row per event_type; a ``fold`` merges each
     type's registers by elementwise max, and the driver estimates."""
     from eristropy_ray.datapipe.sketch import hll_estimate, hll_merge
 
@@ -2460,7 +2478,7 @@ def q_distinct_users_approx(sf_dir: str, p: int = 12):
              "regs": pa.array(merged, pa.binary())}
         )
 
-    t = fold(ds, lambda b: _hll_partial_by_type(b, p), merge_registers)
+    t = fold(ds, _hll_partial_by_type, merge_registers)
     regs = [np.frombuffer(r, dtype=np.uint8) for r in t["regs"].to_pylist()]
     return pd.DataFrame(
         {
@@ -2470,10 +2488,10 @@ def q_distinct_users_approx(sf_dir: str, p: int = 12):
     )
 
 
-def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
+def q_value_quantiles_hdr(sf_dir: str):
     """Approximate value quantiles per event_type via a mergeable
     HDR-style log-bucketed histogram (rows-only; relative error bound
-    2^-(m+1) vs the exact order statistic is pinned in tests) — the
+    2^-8 vs the exact order statistic is pinned in tests) — the
     sketch twin of exact ``doc_len_quantiles`` for UNBOUNDED positive
     double domains, completing the sketch family: HLL (distinct),
     Misra-Gries (heavy hitters), Bloom (membership), HDR (quantiles).
@@ -2492,7 +2510,7 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     # batch_size=None: fold whole blocks — the summary is bucket-
     # bounded, so bigger batches mean strictly fewer partial rows.
     partials = ds.map_batches(
-        _hdr_partial_by_type, batch_format="pyarrow", batch_size=None, fn_args=(m,)
+        _hdr_partial_by_type, batch_format="pyarrow", batch_size=None
     )
     t = fold_by(partials, ["event_type", "bucket"], {"n": "sum"}, schema).sort_by(
         "event_type"
@@ -2500,7 +2518,10 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     et = t["event_type"].to_numpy(zero_copy_only=False)
     bucket, n = t["bucket"].to_numpy(), t["n"].to_numpy()
     bounds = np.append(segment_starts(et), et.size)
-    est = [hdr_quantiles(bucket[a:z], n[a:z], qs, m) for a, z in zip(bounds, bounds[1:])]
+    est = [
+        hdr_quantiles(bucket[a:z], n[a:z], qs, _HDR_M)
+        for a, z in zip(bounds, bounds[1:])
+    ]
     return pd.DataFrame(
         {
             "event_type": np.repeat(et[bounds[:-1]], qs.size),
@@ -2510,8 +2531,11 @@ def q_value_quantiles_hdr(sf_dir: str, m: int = 7):
     )
 
 
-def q_group_cap(sf_dir: str, k: int = 3):
-    """First-k-per-group cap (earliest k events per user by (ts, id)) —
+_GROUP_CAP_K = 3  # group_cap; SQL twin generated
+
+
+def q_group_cap(sf_dir: str):
+    """First-3-per-group cap (earliest 3 events per user by (ts, id)) —
     the "at most N documents per domain/source" diversity cap of a
     training-data pipeline. One hash shuffle, then a vectorized
     rank-and-filter per partition; exact row_number SQL twin."""
@@ -2524,7 +2548,7 @@ def q_group_cap(sf_dir: str, k: int = 3):
         order = np.lexsort((tie, ts, sid))
         sid, ts, tie = sid[order], ts[order], tie[order]
         v = df["value"].to_numpy()[order]
-        keep = segment_rank(sid) < k
+        keep = segment_rank(sid) < _GROUP_CAP_K
         return pd.DataFrame(
             {
                 "signal_id": sid[keep],
@@ -2535,6 +2559,19 @@ def q_group_cap(sf_dir: str, k: int = 3):
         )
 
     return exchange(ds, "signal_id", group_cap)
+
+
+#: dataset_split's id hash, h = (id mod P) * MUL mod P mod 100, and its
+#: cuts: h < 80 is train, h < 90 val, the rest test (SQL twin generated)
+_SPLIT_P, _SPLIT_MUL = 1000000007, 2654435761
+_SPLIT_TRAIN, _SPLIT_VAL = 80, 90
+
+
+def _split_of(ids: np.ndarray) -> np.ndarray:
+    """The split label of each int64 id (dataset_split's rule)."""
+    p = np.int64(_SPLIT_P)
+    h = ((ids % p + p) % p) * _SPLIT_MUL % p % 100
+    return np.where(h < _SPLIT_TRAIN, "train", np.where(h < _SPLIT_VAL, "val", "test"))
 
 
 def q_dataset_split(sf_dir: str):
@@ -2549,13 +2586,10 @@ def q_dataset_split(sf_dir: str):
 
     def fn(b: pa.Table) -> pa.Table:
         ids = b["doc_id"].to_numpy().astype(np.int64)
-        p = np.int64(1000000007)
-        h = ((ids % p + p) % p) * 2654435761 % p % 100
-        split = np.where(h < 80, "train", np.where(h < 90, "val", "test"))
         return pa.table(
             {
                 "doc_id": pa.array(ids, pa.int64()),
-                "split": pa.array(split.astype(object), pa.string()),
+                "split": pa.array(_split_of(ids).astype(object), pa.string()),
             }
         )
 
@@ -2584,8 +2618,11 @@ def q_sample_events(sf_dir: str):
     return ds.map_batches(fn, batch_format="pyarrow")
 
 
-def q_reservoir_sample(sf_dir: str, k: int = 1000):
-    """Fixed-size uniform sample — EXACTLY k rows regardless of corpus
+_RESERVOIR_K = 1000  # reservoir_sample rows
+
+
+def q_reservoir_sample(sf_dir: str):
+    """Fixed-size uniform sample — EXACTLY 1000 rows regardless of corpus
     size (the "give me 10k examples from 100 TB" op; the fixed-RATE
     twin is ``sample_events``). Mergeable bottom-k sketch: every row
     gets the deterministic key splitmix64(event_id) — a bijection, so
@@ -2618,16 +2655,20 @@ def q_reservoir_sample(sf_dir: str, k: int = 1000):
     int64s = [(c, pa.int64()) for c in ("event_id", "user_id", "ts_us")]
     schema = pa.schema([("sample_key", pa.uint64()), *int64s, ("value", pa.float64())])
     keyed_rows = ds.map_batches(keyed, batch_format="pyarrow")
-    return top_k(keyed_rows, [("sample_key", "ascending")], k, schema).to_pandas()
+    order = [("sample_key", "ascending")]
+    return top_k(keyed_rows, order, _RESERVOIR_K, schema).to_pandas()
 
 
-def q_top_users(sf_dir: str, k: int = 10):
-    """Top-k users by observation count (count desc, user_id asc).
+_TOP_USERS_K = 10  # top_users; SQL twin generated
+
+
+def q_top_users(sf_dir: str):
+    """Top-10 users by observation count (count desc, user_id asc).
     Counts come from the partial-collapsed keyed combine; each user's
     total is complete within one combine partition, so a ``top_k`` fold
     over the per-user rows is exact and moves none of them."""
     order = [("n_obs", "descending"), ("user_id", "ascending")]
-    return top_k(_user_counts(sf_dir), order, k, _USER_COUNTS).to_pandas()
+    return top_k(_user_counts(sf_dir), order, _TOP_USERS_K, _USER_COUNTS).to_pandas()
 
 
 def q_orders_by_segment(sf_dir: str):
@@ -2759,14 +2800,17 @@ def q_running_sum(sf_dir: str):
     return exchange(_events_signals(sf_dir), "signal_id", running_sum_partition)
 
 
-def q_topk_per_user(sf_dir: str, k: int = 3):
-    """Top-k events by value per user with their rank — the ranked
+_TOPK_PER_USER_K = 3  # topk_per_user; SQL twin generated
+
+
+def q_topk_per_user(sf_dir: str):
+    """Top-3 events by value per user with their rank — the ranked
     window-function shape (``ROW_NUMBER OVER (PARTITION BY user ORDER BY
     value DESC, event_id)``), vs ``group_cap``'s arrival-order cap. The
-    scalable plan is partial top-k: each batch keeps at most k rows per
+    scalable plan is partial top-k: each batch keeps at most 3 rows per
     user BEFORE the shuffle (the global per-user top-k is a subset of
     the union of batch-local top-ks), so the exchange carries
-    O(users x k) rows, not the event stream. Ordering is on raw doubles
+    O(users x 3) rows, not the event stream. Ordering is on raw doubles
     (identical bits both engines) with the id tie-break; no NaN values
     by the documented corpus contract."""
     ds = _read(
@@ -2784,7 +2828,7 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
         uid = b["user_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         eid = b["event_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         v = b["value"].to_numpy(zero_copy_only=False).astype(np.float64)
-        uid, eid, v, _ = topk_local(uid, eid, v, k)
+        uid, eid, v, _ = topk_local(uid, eid, v, _TOPK_PER_USER_K)
         return pa.table(
             {
                 "user_id": pa.array(uid, pa.int64()),
@@ -2798,7 +2842,7 @@ def q_topk_per_user(sf_dir: str, k: int = 3):
             df["user_id"].to_numpy(dtype=np.int64),
             df["event_id"].to_numpy(dtype=np.int64),
             df["value"].to_numpy(dtype=np.float64),
-            k,
+            _TOPK_PER_USER_K,
         )
         return pd.DataFrame(
             {
@@ -2975,7 +3019,7 @@ def q_clicks_before_purchase(sf_dir: str):
     return exchange(typed, "user_id", range_partition)
 
 
-def q_band_join(sf_dir: str, window_us: int = _BAND_JOIN_WINDOW_US):
+def q_band_join(sf_dir: str):
     """KEYLESS time-band interval join: for each 'purchase' event, the
     count of clicks by ANY user in the preceding 10 minutes
     ``[ts - window, ts)``. Unlike ``clicks_before_purchase`` (which
@@ -2995,7 +3039,7 @@ def q_band_join(sf_dir: str, window_us: int = _BAND_JOIN_WINDOW_US):
     ev = _read(
         f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type"]
     )
-    B = window_us
+    B = _BAND_JOIN_WINDOW_US
 
     def route(b: pa.Table) -> pa.Table:
         ts = b["ts"].cast(pa.int64()).to_numpy(zero_copy_only=False)
@@ -3120,7 +3164,7 @@ QUERIES = {
     "embedding_neardup": q_embedding_neardup,
     "embedding_neardup_ivf": q_embedding_neardup_ivf,
     "knn_all": q_knn_all,
-    "ann_ivf": q_ann_ivf_fullprobe,
+    "ann_ivf": q_ann_ivf,
     "vocab_topk": q_vocab_topk,
     "bloom_semijoin": q_bloom_semijoin,
     "anti_join": q_anti_join,
@@ -3233,12 +3277,13 @@ FROM r WHERE rn = 1
 def _split_case_sql(col: str) -> str:
     """The dataset_split hash as a SQL CASE expression — ONE definition
     shared by the dataset_split and split_contamination oracles, matching
-    q_dataset_split's numpy arithmetic exactly (mod p before the multiply
+    ``_split_of``'s numpy arithmetic exactly (mod p before the multiply
     so int64 never overflows; floor-safe double-mod for negative ids)."""
-    h = f"(({col} % 1000000007 + 1000000007) % 1000000007) * 2654435761 % 1000000007 % 100"
+    p = _SPLIT_P
+    h = f"(({col} % {p} + {p}) % {p}) * {_SPLIT_MUL} % {p} % 100"
     return (
-        f"CASE WHEN {h} < 80 THEN 'train' "
-        f"WHEN {h} < 90 THEN 'val' ELSE 'test' END"
+        f"CASE WHEN {h} < {_SPLIT_TRAIN} THEN 'train' "
+        f"WHEN {h} < {_SPLIT_VAL} THEN 'val' ELSE 'test' END"
     )
 
 
@@ -3277,7 +3322,7 @@ WITH w AS (
   FROM sh a JOIN sh b ON a.doc_id < b.doc_id
 )
 SELECT doc_a, doc_b, CAST(inter AS DOUBLE) / uni AS jaccard
-FROM p WHERE CAST(inter AS DOUBLE) / uni >= 0.5
+FROM p WHERE CAST(inter AS DOUBLE) / uni >= {_MINHASH_TAU}
 """
 
 
@@ -3316,13 +3361,37 @@ scored AS (
   SELECT d.doc_id, d.text,
          CAST(len(regexp_extract_all(d.text, {_sql_regex(_WS_TOKEN_PAT)})) AS BIGINT) AS n_tokens
   FROM documents d JOIN lang ON d.doc_id = lang.doc_id
-  WHERE length(d.text) >= 100
+  WHERE length(d.text) >= {_CLEAN_MIN_CHARS}
     AND CAST(length(regexp_extract_all(d.text, '[.!?,;:]')) AS DOUBLE)
-        / length(d.text) < 0.1
+        / length(d.text) < {_CLEAN_MAX_PUNCT}
     AND lang.lang_pred = 'en'
 )
 SELECT MIN(doc_id) AS doc_id, MIN(n_tokens) AS n_tokens
 FROM scored GROUP BY text
+"""
+
+
+_NEARDUP_SQL = f"""
+SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
+FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
+WHERE list_cosine_similarity(a.embedding, b.embedding) >= {_NEARDUP_TAU}
+"""
+
+
+_KNN_SQL = f"""
+WITH sims AS (
+  SELECT a.vec_id AS vec_id, b.vec_id AS neighbor_id,
+         ROUND(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
+                                      CAST(b.embedding AS DOUBLE[])), 4) AS sim
+  FROM embeddings a, embeddings b
+  WHERE a.vec_id <> b.vec_id
+)
+SELECT vec_id, neighbor_id, sim FROM (
+  SELECT vec_id, neighbor_id, sim,
+         row_number() OVER (PARTITION BY vec_id
+                            ORDER BY sim DESC, neighbor_id) AS rk
+  FROM sims
+) WHERE rk <= {_KNN_K}
 """
 
 
@@ -3339,11 +3408,11 @@ FROM ({_TIER_BLOCKS_SQL})
     "clean_corpus": _clean_corpus_sql(),
     "langid": _langid_sql(),
     "tier_blocks": _TIER_BLOCKS_SQL,
-    "ngram_jaccard": """
+    "ngram_jaccard": f"""
 WITH g AS (
-  SELECT doc_id, substring(text, gs.i, 3) AS gram
+  SELECT doc_id, substring(text, gs.i, {_NGRAM_K}) AS gram
   FROM documents, LATERAL (
-    SELECT unnest(generate_series(1, greatest(length(text) - 2, 1))) AS i
+    SELECT unnest(generate_series(1, greatest(length(text) - {_NGRAM_K - 1}, 1))) AS i
   ) gs(i)
 ), s AS (
   SELECT doc_id, list(DISTINCT gram) AS grams FROM g GROUP BY doc_id
@@ -3354,48 +3423,26 @@ WITH g AS (
   FROM s a JOIN s b ON a.doc_id < b.doc_id
 )
 SELECT doc_a, doc_b, CAST(inter AS DOUBLE) / uni AS jaccard
-FROM p WHERE CAST(inter AS DOUBLE) / uni >= 0.5
+FROM p WHERE CAST(inter AS DOUBLE) / uni >= {_NGRAM_TAU}
 """,
-    "embedding_neardup": """
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.45
-""",
+    "embedding_neardup": _NEARDUP_SQL,
     # unnest of two same-length lists in one SELECT zips in DuckDB, so
     # each q lands beside its quantile; interpolation parity with
     # quantile_cont is fuzz-pinned in tests/test_queries_registry.py.
-    "doc_len_quantiles": """
-SELECT unnest([0.25, 0.5, 0.75, 0.95, 0.99]) AS q,
+    "doc_len_quantiles": f"""
+SELECT unnest([{", ".join(map(str, _DOC_LEN_QS))}]) AS q,
        unnest(quantile_cont(length(text),
-                            [0.25, 0.5, 0.75, 0.95, 0.99])) AS value
+                            [{", ".join(map(str, _DOC_LEN_QS))}])) AS value
 FROM documents
 """,
     # The IVF-bucketed scale path recovers the exact pair set at
     # n_probe=8/16 (recall 1.0 asserted in tests/test_datapipe.py on
     # both corpora), so its oracle IS the exact all-pairs twin.
-    "embedding_neardup_ivf": """
-SELECT a.vec_id AS vec_a, b.vec_id AS vec_b
-FROM embeddings a JOIN embeddings b ON a.vec_id < b.vec_id
-WHERE list_cosine_similarity(a.embedding, b.embedding) >= 0.45
-""",
-    # Registered at n_probe = n_cells, where IVF is exactly brute force
-    # (every member allowed for every query) — the knn_all twin checks
-    # the whole distributed route/partial/merge machinery.
-    "ann_ivf": """
-WITH sims AS (
-  SELECT a.vec_id AS vec_id, b.vec_id AS neighbor_id,
-         ROUND(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                      CAST(b.embedding AS DOUBLE[])), 4) AS sim
-  FROM embeddings a, embeddings b
-  WHERE a.vec_id <> b.vec_id
-)
-SELECT vec_id, neighbor_id, sim FROM (
-  SELECT vec_id, neighbor_id, sim,
-         row_number() OVER (PARTITION BY vec_id
-                            ORDER BY sim DESC, neighbor_id) AS rk
-  FROM sims
-) WHERE rk <= 5
-""",
+    "embedding_neardup_ivf": _NEARDUP_SQL,
+    # ann_ivf probes every cell, where IVF is exactly brute force (every
+    # member allowed for every query) — the knn_all twin checks the
+    # whole distributed route/partial/merge machinery.
+    "ann_ivf": _KNN_SQL,
     # Bloom prefilter + exact verification = the plain semi-join.
     "bloom_semijoin": """
 SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
@@ -3407,19 +3454,19 @@ WHERE event_type = 'click' AND user_id IN (
 SELECT event_type, CAST(COUNT(DISTINCT user_id) AS BIGINT) AS n_users
 FROM events GROUP BY event_type
 """,
-    "streaming_window": """
+    "streaming_window": f"""
 WITH a AS (
   SELECT user_id, event_id, epoch_us(ts) AS ts_us, value,
          MAX(epoch_us(ts)) OVER (
            PARTITION BY user_id
-           ORDER BY event_id + CASE WHEN event_id % 16 = 5 THEN 40 ELSE 0 END,
+           ORDER BY event_id + CASE WHEN event_id % {_STREAM_DELAY_EVERY} = {_STREAM_DELAY_AT} THEN {_STREAM_DELAY_SHIFT} ELSE 0 END,
                     event_id
            ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING) AS wm
   FROM events
 ), b AS (
   SELECT user_id, ts_us, value,
-         (wm IS NOT NULL AND ts_us < wm - 1800000000) AS late,
-         ts_us - ((ts_us % 3600000000 + 3600000000) % 3600000000) AS win
+         (wm IS NOT NULL AND ts_us < wm - {_STREAM_LATENESS_US}) AS late,
+         ts_us - ((ts_us % {US_1H} + {US_1H}) % {US_1H}) AS win
   FROM a
 )
 SELECT user_id AS signal_id, win AS window_start_us,
@@ -3430,13 +3477,13 @@ SELECT user_id AS signal_id, win AS window_start_us,
        CAST(COALESCE(SUM(CASE WHEN late THEN 1 END), 0) AS BIGINT) AS n_late
 FROM b GROUP BY 1, 2
 """,
-    "hopping_window": """
+    "hopping_window": f"""
 WITH e AS (SELECT user_id, epoch_us(ts) AS ts_us, value FROM events),
 w AS (
   SELECT user_id, value,
-         ts_us - ((ts_us % 900000000 + 900000000) % 900000000)
-           - CAST(k.i AS BIGINT) * 900000000 AS win_start
-  FROM e, (VALUES (0),(1),(2),(3)) k(i)
+         ts_us - ((ts_us % {_HOP_SLIDE_US} + {_HOP_SLIDE_US}) % {_HOP_SLIDE_US})
+           - CAST(k.i AS BIGINT) * {_HOP_SLIDE_US} AS win_start
+  FROM e, (VALUES {",".join(f"({i})" for i in range(_HOPS))}) k(i)
 )
 SELECT user_id AS signal_id, win_start AS window_start_us,
        COUNT(*) AS n_obs,
@@ -3549,18 +3596,18 @@ FROM p ASOF JOIN c
   ON p.user_id = c.user_id AND p.ts_us > c.click_ts_us
 """,
     # heavy_hitters' twin is exact because the test corpus vocabulary
-    # (31 words) is far below k_summary=256: Misra-Gries never evicts,
-    # so every estimate equals the exact count and the whole distributed
-    # sketch plan (per-batch summaries -> per-part merges -> final merge
-    # -> (est DESC, word ASC) top-n) is hash-checkable — the same
-    # full-capacity pattern that makes ann_ivf oracle-checkable via
-    # n_probe=n_cells. The n/k undercount bound for the general case
+    # (31 words) is far below the 256-row summary: Misra-Gries never
+    # evicts, so every estimate equals the exact count and the whole
+    # distributed sketch plan (per-batch summaries -> per-part merges ->
+    # final merge -> (est DESC, word ASC) top-n) is hash-checkable — the
+    # same full-capacity pattern that makes ann_ivf oracle-checkable by
+    # probing every cell. The n/k undercount bound for the general case
     # keeps its own pin in tests/test_datapipe.py.
     "heavy_hitters": f"""
 SELECT word, CAST(COUNT(*) AS BIGINT) AS est
 FROM (SELECT unnest(regexp_extract_all(text, {_sql_regex(_WS_TOKEN_PAT)})) AS word
       FROM documents)
-GROUP BY word ORDER BY est DESC, word LIMIT 20
+GROUP BY word ORDER BY est DESC, word LIMIT {_HEAVY_HITTERS_TOPN}
 """,
     "pricing_summary": """
 SELECT l_returnflag, l_linestatus,
@@ -3611,13 +3658,13 @@ SELECT user_id AS signal_id, epoch_us(ts) AS ts_us,
             AS DOUBLE) AS running_sum
 FROM events
 """,
-    "topk_per_user": """
+    "topk_per_user": f"""
 SELECT user_id, event_id, value, CAST(rk AS BIGINT) AS rk
 FROM (SELECT user_id, event_id, value,
              ROW_NUMBER() OVER (PARTITION BY user_id
                                 ORDER BY value DESC, event_id) AS rk
       FROM events)
-WHERE rk <= 3
+WHERE rk <= {_TOPK_PER_USER_K}
 """,
     "sample_events": """
 SELECT event_id, user_id, epoch_us(ts) AS ts_us, value
@@ -3627,7 +3674,7 @@ FROM events WHERE event_id & 15 = 3
 SELECT word, CAST(COUNT(*) AS BIGINT) AS n
 FROM (SELECT unnest(regexp_extract_all(text, {_sql_regex(_WS_TOKEN_PAT)})) AS word
       FROM documents)
-GROUP BY word ORDER BY n DESC, word LIMIT 50
+GROUP BY word ORDER BY n DESC, word LIMIT {_VOCAB_K}
 """,
     "pii_counts": f"""
 SELECT CAST(doc_id AS BIGINT) AS doc_id,
@@ -3655,13 +3702,13 @@ SELECT e.conv_id, t.tier,
        CAST(SUM(v) AS DOUBLE) / COUNT(*) AS value_mean
 FROM e, t GROUP BY 1, 2, 3
 """,
-    "group_cap": """
+    "group_cap": f"""
 SELECT signal_id, ts_us, event_id, value FROM (
   SELECT user_id AS signal_id, epoch_us(ts) AS ts_us,
          CAST(event_id AS BIGINT) AS event_id, value,
          row_number() OVER (PARTITION BY user_id ORDER BY ts, event_id) AS rk
   FROM events
-) WHERE rk <= 3
+) WHERE rk <= {_GROUP_CAP_K}
 """,
     "dataset_split": f"""
 SELECT CAST(doc_id AS BIGINT) AS doc_id, {_split_case_sql('doc_id')} AS split
@@ -3677,22 +3724,22 @@ labeled AS (
 )
 SELECT * FROM labeled WHERE split_a <> split_b
 """.replace("{minhash}", _minhash_sql()),
-    "repetition": """
+    "repetition": f"""
 SELECT CAST(doc_id AS BIGINT) AS doc_id,
-       CAST(greatest(length(text) - 9, 0) AS BIGINT) AS n_grams,
-       CASE WHEN length(text) >= 10 THEN (
-         SELECT CAST(COUNT(DISTINCT substring(d.text, gs.i, 10)) AS BIGINT)
-         FROM (SELECT unnest(generate_series(1, length(d.text) - 9)) AS i) gs(i)
+       CAST(greatest(length(text) - {_REPETITION_K - 1}, 0) AS BIGINT) AS n_grams,
+       CASE WHEN length(text) >= {_REPETITION_K} THEN (
+         SELECT CAST(COUNT(DISTINCT substring(d.text, gs.i, {_REPETITION_K})) AS BIGINT)
+         FROM (SELECT unnest(generate_series(1, length(d.text) - {_REPETITION_K - 1})) AS i) gs(i)
        ) ELSE 0 END AS n_distinct,
-       CASE WHEN length(text) >= 10 THEN 1.0 - (
-         SELECT CAST(COUNT(DISTINCT substring(d.text, gs.i, 10)) AS DOUBLE)
-         FROM (SELECT unnest(generate_series(1, length(d.text) - 9)) AS i) gs(i)
-       ) / (length(text) - 9) ELSE 0.0 END AS rep_ratio
+       CASE WHEN length(text) >= {_REPETITION_K} THEN 1.0 - (
+         SELECT CAST(COUNT(DISTINCT substring(d.text, gs.i, {_REPETITION_K})) AS DOUBLE)
+         FROM (SELECT unnest(generate_series(1, length(d.text) - {_REPETITION_K - 1})) AS i) gs(i)
+       ) / (length(text) - {_REPETITION_K - 1}) ELSE 0.0 END AS rep_ratio
 FROM documents d
 """,
-    "top_users": """
+    "top_users": f"""
 SELECT user_id, COUNT(*) AS n_obs FROM events
-GROUP BY user_id ORDER BY n_obs DESC, user_id LIMIT 10
+GROUP BY user_id ORDER BY n_obs DESC, user_id LIMIT {_TOP_USERS_K}
 """,
     "order_segments_join": """
 SELECT CAST(o_orderkey AS BIGINT) AS o_orderkey, c_mktsegment, o_totalprice
@@ -3709,22 +3756,8 @@ GROUP BY c_mktsegment
     "doc_bytes": """
 SELECT doc_id, octet_length(encode(text)) AS n_bytes FROM documents
 """,
-    "knn_all": """
-WITH sims AS (
-  SELECT a.vec_id AS vec_id, b.vec_id AS neighbor_id,
-         ROUND(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
-                                      CAST(b.embedding AS DOUBLE[])), 4) AS sim
-  FROM embeddings a, embeddings b
-  WHERE a.vec_id <> b.vec_id
-)
-SELECT vec_id, neighbor_id, sim FROM (
-  SELECT vec_id, neighbor_id, sim,
-         row_number() OVER (PARTITION BY vec_id
-                            ORDER BY sim DESC, neighbor_id) AS rk
-  FROM sims
-) WHERE rk <= 5
-""",
-    "similarity_topk": """
+    "knn_all": _KNN_SQL,
+    "similarity_topk": f"""
 WITH q AS (SELECT CAST(embedding AS DOUBLE[]) AS embedding
            FROM embeddings WHERE vec_id = 0)
 SELECT e.vec_id,
@@ -3732,6 +3765,6 @@ SELECT e.vec_id,
                                     (SELECT embedding FROM q)), 4) AS sim
 FROM embeddings e
 ORDER BY sim DESC, vec_id
-LIMIT 10
+LIMIT {_SIMILARITY_K}
 """,
 }

@@ -100,12 +100,19 @@ def validate_signals(signals):
     """A pipeline's validation boundary: a DataFrame is checked whole
     (``validate_signal_batch``, so an empty one raises); a Dataset gets
     ``make_validator()`` as its next map and fails when it executes.
-    Its context (shared with the Datasets it derives from) raises the
-    map's own exception, so the caller catches a ``SignalValidationError``
-    rather than Ray's ``UserCodeException`` that names it only in text."""
+    The validated Dataset gets its own copy of the context, which raises
+    the map's own exception, so the caller catches a
+    ``SignalValidationError`` rather than Ray's ``UserCodeException``
+    that names it only in text; the caller's Dataset keeps its context
+    (a derived Dataset would share and change it)."""
+    import ray.data as rd
+
     if isinstance(signals, pd.DataFrame):
         validate_signal_batch(pa.Table.from_pandas(signals, preserve_index=False))
         return signals
-    validated = signals.map_batches(make_validator(), batch_format="pyarrow")
+    validated = rd.Dataset.copy(
+        signals.map_batches(make_validator(), batch_format="pyarrow"),
+        _deep_copy=True,
+    )
     validated.context.raise_original_map_exception = True
     return validated

@@ -18,11 +18,7 @@ from eristropy_ray.datapipe.dedup import (
     simhash_chunk_keys,
     word_shingle_hashes,
 )
-from eristropy_ray.datapipe.multimodal import (
-    BinaryFeatureStage,
-    fake_embedding,
-    sniff_format,
-)
+from eristropy_ray.datapipe.multimodal import BinaryFeatureStage, sniff_format
 from eristropy_ray.datapipe.similarity import IVFIndex, knn_topk_batch, unit_rows
 from eristropy_ray.datapipe.textstats import (
     content_hash64,
@@ -314,26 +310,46 @@ def test_chunk_token_windows_arrow_long_docs():
 
 
 def test_doc_chunks_query(ray_session):
-    """Distributed explode == per-doc kernel on the whole sf0.001 corpus."""
+    """Distributed explode == per-doc kernel on the whole sf0.001 corpus,
+    and the batch kernel == the per-doc kernel there at narrower windows
+    too (32 tokens, stride 24), where documents explode into several."""
     import pyarrow.parquet as pq
 
-    from eristropy_ray.datapipe.textstats import chunk_token_windows
-    from eristropy_ray.pipelines.queries import q_doc_chunks
+    from eristropy_ray.datapipe.textstats import (
+        chunk_token_windows,
+        chunk_token_windows_arrow,
+    )
+    from eristropy_ray.pipelines.queries import (
+        _CHUNK_STRIDE,
+        _CHUNK_TOKENS,
+        q_doc_chunks,
+    )
 
     sf = "/root/testdata/sf0.001"
+    docs = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "text"])
+    texts = docs["text"].to_pylist()
+    narrow = chunk_token_windows_arrow(docs["text"], 32, 24)
+    narrow = list(zip(*narrow[:4], narrow[4].to_pylist()))
+    assert narrow == [
+        (i, ci, f, n, c)
+        for i, t in enumerate(texts)
+        for ci, (c, f, n) in enumerate(chunk_token_windows(t, 32, 24))
+    ]
+    assert max(ci for _, ci, *_ in narrow) >= 2
+
     got = (
-        q_doc_chunks(sf, max_tokens=32, stride=24)
+        q_doc_chunks(sf)
         .to_pandas()
         .sort_values(["doc_id", "chunk_id"])
         .reset_index(drop=True)
     )
-    docs = pq.read_table(f"{sf}/documents.parquet", columns=["doc_id", "text"])
     want = []
-    for did, t in zip(docs["doc_id"].to_pylist(), docs["text"].to_pylist()):
-        for ci, (chunk, first, n) in enumerate(chunk_token_windows(t, 32, 24)):
+    for did, t in zip(docs["doc_id"].to_pylist(), texts):
+        windows = chunk_token_windows(t, _CHUNK_TOKENS, _CHUNK_STRIDE)
+        for ci, (chunk, first, n) in enumerate(windows):
             want.append((did, ci, first, n, chunk))
     assert len(got) == len(want)
-    assert got["n_tokens"].max() <= 32
+    assert got["n_tokens"].max() <= _CHUNK_TOKENS
     for col, idx in zip(
         ["doc_id", "chunk_id", "first_token", "n_tokens", "chunk_text"],
         range(5),
@@ -433,18 +449,19 @@ def test_greedy_pack_tokens_validation():
 
 def test_seq_pack_query(ray_session):
     """Distributed pack == local per-partition kernel on sf0.001, with
-    ``part`` the default 32-way ``partition_of(doc_id)``, and the packing
+    ``part`` the 32-way ``partition_of(doc_id)``, and the packing
     invariants hold on real data."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from eristropy_ray.datapipe.textstats import greedy_pack_tokens
+    from eristropy_ray.pipelines.exchange import _NPARTS as n_parts
+    from eristropy_ray.pipelines.queries import _SEQ_CAPACITY as capacity
     from eristropy_ray.pipelines.queries import _WS_TOKEN_PAT, q_seq_pack
 
     sf = "/root/testdata/sf0.001"
-    capacity, n_parts = 256, 32
     got = (
-        q_seq_pack(sf, capacity=capacity)
+        q_seq_pack(sf)
         .to_pandas()
         .sort_values(["part", "seq_id", "seq_offset", "doc_id"])
         .reset_index(drop=True)
@@ -538,10 +555,20 @@ def test_fingerprints():
     assert np.intersect1d(h1, h2).size > 0
 
 
+from eristropy_ray.datapipe.media import encode_png as _encode_png  # noqa: E402
+from eristropy_ray.datapipe.media import encode_wav as _encode_wav  # noqa: E402
+
+
 def test_multimodal_stage(ray_session):
+    """Through Ray's map_batches, the stage keeps the other columns,
+    sniffs and sizes every payload, and decodes what it can: a WAV row
+    gets its features, a JPEG-magic and an empty row a NaN embedding."""
     import ray.data as rd
 
-    payloads = [b"\x89PNG\r\n\x1a\n" + bytes(range(50)), b"\xff\xd8\xffrest", b""]
+    from eristropy_ray.datapipe.media import FEATURE_DIM, real_features
+
+    wav = _encode_wav(np.arange(-50, 50, dtype=np.int64).reshape(-1, 1))
+    payloads = [wav, b"\xff\xd8\xffrest", b""]
     t = pa.table(
         {"item_id": pa.array([1, 2, 3], pa.int64()),
          "payload": pa.array(payloads, pa.binary())}
@@ -549,7 +576,7 @@ def test_multimodal_stage(ray_session):
     out = (
         rd.from_arrow(t)
         .map_batches(
-            BinaryFeatureStage(extractor="fake"),
+            BinaryFeatureStage(),
             batch_format="pyarrow",
             batch_size=2,
             concurrency=2,
@@ -557,15 +584,13 @@ def test_multimodal_stage(ray_session):
         .to_pandas()
         .sort_values("item_id")
     )
-    assert list(out["format"]) == ["png", "jpeg", "unknown"]
-    assert list(out["n_bytes"]) == [58, 7, 0]
+    assert list(out["format"]) == ["riff", "jpeg", "unknown"]
+    assert list(out["n_bytes"]) == [len(wav), 7, 0]
+    assert list(out["decode_ok"]) == [True, False, False]
     emb = np.stack(out["embedding"].to_numpy())
-    assert emb.shape == (3, 8)
-    np.testing.assert_array_equal(emb[0], fake_embedding(payloads[0]))
-
-
-from eristropy_ray.datapipe.media import encode_png as _encode_png  # noqa: E402
-from eristropy_ray.datapipe.media import encode_wav as _encode_wav  # noqa: E402
+    assert emb.shape == (3, FEATURE_DIM)
+    np.testing.assert_array_equal(emb[0], real_features(wav, "riff"))
+    assert np.isnan(emb[1:]).all()
 
 
 def test_png_roundtrip_all_filters():
@@ -593,13 +618,13 @@ def test_wav_roundtrip():
 
 
 def test_multimodal_real_extractor():
-    """extractor='real' decodes PNG/WAV payloads to moment features and
+    """The feature stage decodes PNG/WAV payloads to moment features and
     degrades (NaN + decode_ok=False) on undecodable rows."""
     rng = np.random.default_rng(13)
     px = rng.integers(0, 256, size=(4, 4, 3), dtype=np.uint8)
     png = _encode_png(px, filters=[1, 2, 3, 4])
     wav = _encode_wav(rng.integers(-100, 100, size=(64, 1), dtype=np.int64))
-    stage = BinaryFeatureStage(extractor="real")
+    stage = BinaryFeatureStage()
     out = stage(
         pa.table(
             {
@@ -618,14 +643,13 @@ def test_multimodal_real_extractor():
 
 
 def test_frame_sample_real_decoder():
-    """decoder='real' samples windows of the DECODED stream (pixel rows
+    """The frame stage samples windows of the DECODED stream (pixel rows
     for PNG), and emits empty frames for undecodable payloads."""
-    from eristropy_ray.datapipe.multimodal import FrameSampleStage
+    from eristropy_ray.datapipe.multimodal import FRAME_BYTES, FrameSampleStage
 
-    px = np.arange(8 * 4 * 1, dtype=np.uint8).reshape(8, 4, 1)
+    px = np.arange(16 * 8 * 1, dtype=np.uint8).reshape(16, 8, 1)
     png = _encode_png(px, filters=[0])
-    stage = FrameSampleStage(n_frames=2, frame_bytes=8, decoder="real")
-    out = stage(
+    out = FrameSampleStage()(
         pa.table(
             {
                 "item_id": pa.array([1, 2], pa.int64()),
@@ -634,29 +658,33 @@ def test_frame_sample_real_decoder():
         )
     )
     frames = out["frame"].to_pylist()
-    stream = px.tobytes()  # 32 decoded bytes -> windows at offsets 0, 16
-    assert frames[0] == stream[0:8]
-    assert frames[1] == stream[16:24]
-    assert frames[2] == b"" and frames[3] == b""
+    stream = px.tobytes()  # 128 decoded bytes -> windows at 0, 32, 64, 96
+    assert FRAME_BYTES == 32
+    assert frames[:4] == [stream[o : o + 32] for o in (0, 32, 64, 96)]
+    assert frames[4:] == [b""] * 4
 
 
-@given(
-    payload_lens=st.lists(st.integers(0, 300), min_size=1, max_size=8),
-    n_frames=st.integers(1, 6),
-    frame_bytes=st.integers(1, 64),
-)
+@given(n_samples=st.lists(st.integers(0, 300), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
-def test_frame_sample_explode_invariants(payload_lens, n_frames, frame_bytes):
-    """For arbitrary payload lengths the fake-decoder explode emits
-    exactly n_frames rows per item in input order, frame f equals the
-    byte window at offset len*f//n, and every frame is frame_bytes-
-    bounded (the block-width guarantee DESIGN_SCALE relies on)."""
-    from eristropy_ray.datapipe.multimodal import FrameSampleStage
+def test_frame_sample_explode_invariants(n_samples):
+    """For WAV payloads of arbitrary length the explode emits exactly
+    N_FRAMES rows per item in input order, frame f equals the window of
+    the decoded sample bytes at offset len*f//N_FRAMES, and every frame
+    is FRAME_BYTES-bounded (the block-width guarantee DESIGN_SCALE
+    relies on)."""
+    from eristropy_ray.datapipe.media import decode_wav
+    from eristropy_ray.datapipe.multimodal import (
+        FRAME_BYTES,
+        N_FRAMES,
+        FrameSampleStage,
+    )
 
-    payloads = [bytes(range(256)) * (ln // 256 + 1) for ln in payload_lens]
-    payloads = [p[:ln] for p, ln in zip(payloads, payload_lens)]
+    payloads = [
+        _encode_wav((np.arange(n, dtype=np.int64) * 97 % 65536 - 32768).reshape(-1, 1))
+        for n in n_samples
+    ]
     ids = list(range(len(payloads)))
-    out = FrameSampleStage(n_frames=n_frames, frame_bytes=frame_bytes)(
+    out = FrameSampleStage()(
         pa.table(
             {
                 "item_id": pa.array(ids, pa.int64()),
@@ -664,17 +692,19 @@ def test_frame_sample_explode_invariants(payload_lens, n_frames, frame_bytes):
             }
         )
     )
-    assert out.num_rows == len(payloads) * n_frames
+    assert out.num_rows == len(payloads) * N_FRAMES
     got_ids = out["item_id"].to_pylist()
     got_idx = out["frame_idx"].to_pylist()
     got_frames = out["frame"].to_pylist()
     k = 0
     for i, p in zip(ids, payloads):
-        for f in range(n_frames):
+        stream = decode_wav(p)[0].tobytes()
+        assert len(stream) == 2 * n_samples[i]
+        for f in range(N_FRAMES):
             assert got_ids[k] == i and got_idx[k] == f
-            off = (len(p) * f) // n_frames
-            assert got_frames[k] == p[off : off + frame_bytes]
-            assert len(got_frames[k]) <= frame_bytes
+            off = (len(stream) * f) // N_FRAMES
+            assert got_frames[k] == stream[off : off + FRAME_BYTES]
+            assert len(got_frames[k]) <= FRAME_BYTES
             k += 1
 
 
@@ -699,17 +729,25 @@ def test_benchmark_frame_reproduces_reference_generator():
 
 
 def test_ann_ivf_distributed_matches_single_process(ray_session):
-    """The distributed IVF build/probe (sample-trained centroids, cell
-    groupby partials, query-hash merge) must reproduce IVFIndex.search
-    exactly when the training sample covers the whole corpus."""
+    """The distributed IVF build/probe (sample-trained centroids,
+    supercell partials, query-hash merge) probing 4 of the 16 cells must
+    reproduce IVFIndex.search exactly when the training sample covers
+    the whole corpus. (ann_ivf itself probes every cell and is checked
+    against its SQL twin.)"""
     import pyarrow.parquet as pq
 
     from eristropy_ray.datapipe.similarity import IVFIndex, _kmeans
-    from eristropy_ray.pipelines.queries import q_ann_ivf
+    from eristropy_ray.pipelines.queries import (
+        _embedding_plan,
+        _ivf_assign,
+        _merge_knn,
+        _topk_partial,
+    )
 
     sf = "/root/testdata/sf0.001"
+    assign = _ivf_assign(sf, 4)
     out = (
-        q_ann_ivf(sf)
+        _embedding_plan(sf, assign, "qid", _topk_partial, _merge_knn)
         .to_pandas()
         .astype({"vec_id": "int64", "neighbor_id": "int64", "sim": "float64"})
         .sort_values(["vec_id", "neighbor_id"])
@@ -858,7 +896,8 @@ def test_frame_sample_stage(ray_session):
 
     from eristropy_ray.datapipe.multimodal import FrameSampleStage
 
-    payloads = [bytes(range(256)), b"tiny", b""]
+    samples = np.arange(128, dtype=np.int64).reshape(-1, 1)
+    payloads = [_encode_wav(samples), b"tiny", b""]
     t = pa.table(
         {"item_id": pa.array([1, 2, 3], pa.int64()),
          "payload": pa.array(payloads, pa.binary())}
@@ -866,18 +905,19 @@ def test_frame_sample_stage(ray_session):
     out = (
         rd.from_arrow(t)
         .map_batches(
-            FrameSampleStage(n_frames=4, frame_bytes=16),
+            FrameSampleStage(),
             batch_format="pyarrow", batch_size=2, concurrency=2,
         )
         .to_pandas()
         .sort_values(["item_id", "frame_idx"])
         .reset_index(drop=True)
     )
-    assert len(out) == 12  # 1 -> n_frames explode
+    assert len(out) == 12  # 1 -> 4 explode
     assert list(out["frame_idx"][:4]) == [0, 1, 2, 3]
-    # evenly spaced byte windows of item 1
-    assert out["frame"][0] == bytes(range(16))
-    assert out["frame"][1] == bytes(range(64, 80))
+    # evenly spaced 32-byte windows of item 1's 256 decoded sample bytes
+    stream = samples.astype("<i2").tobytes()
+    assert list(out["frame"][:4]) == [stream[o : o + 32] for o in (0, 64, 128, 192)]
+    assert list(out["frame"][4:]) == [b""] * 8
     # degenerate payloads still emit n_frames rows
     assert all(f == b"" for f in out[out["item_id"] == 3]["frame"])
 
@@ -1014,15 +1054,14 @@ def test_corrupt_png_degrades_not_crashes():
     for p in corrupt:
         with pytest.raises(ValueError):
             decode_png(p)
-    stage = BinaryFeatureStage(extractor="real")
-    out = stage(
+    out = BinaryFeatureStage()(
         pa.table(
             {"payload": pa.array([good] + corrupt, pa.binary())}
         )
     )
     assert out["decode_ok"].to_pylist()[0] is True
     assert out["decode_ok"].to_pylist()[1:] == [False, False, False]
-    fr = FrameSampleStage(n_frames=2, frame_bytes=4, decoder="real")(
+    fr = FrameSampleStage()(
         pa.table({"payload": pa.array(corrupt, pa.binary())})
     )
     assert all(f == b"" for f in fr["frame"].to_pylist())
@@ -1092,7 +1131,8 @@ def test_neardup_queries_empty_result(ray_session, tmp_path):
         {
             "vec_id": pa.array(np.arange(64), pa.int64()),
             "embedding": pa.array(
-                [rng.normal(size=16).tolist() for _ in range(64)],
+                # 512-d random: no pair near cosine 0.45 (~10 sigma)
+                [rng.normal(size=512).tolist() for _ in range(64)],
                 pa.list_(pa.float64()),
             ),
         }
@@ -1104,7 +1144,7 @@ def test_neardup_queries_empty_result(ray_session, tmp_path):
     assert len(mh) == 0
     assert list(mh.columns) == ["doc_a", "doc_b", "jaccard"]
 
-    nd = q_embedding_neardup_ivf(str(tmp_path), tau=0.999).to_pandas()
+    nd = q_embedding_neardup_ivf(str(tmp_path)).to_pandas()
     assert len(nd) == 0
 
 
@@ -1126,24 +1166,27 @@ def test_knn_all_zero_row_embeddings(ray_session, tmp_path):
     assert q_knn_all(str(tmp_path)).count() == 0
 
 
-def test_simhash_neardup_rejects_unsound_max_hamming(tmp_path):
-    """The 4-chunk pigeonhole only guarantees recall up to Hamming 3."""
-    from eristropy_ray.pipelines.queries import q_simhash_neardup
-
-    with pytest.raises(ValueError, match="max_hamming"):
-        q_simhash_neardup(str(tmp_path), max_hamming=4)
-
-
 def test_ann_ivf_nprobe_clamped_to_centroids(ray_session):
     """n_probe larger than the trained centroid count must clamp, not
-    crash with a ragged FixedSizeList (tiny corpora / small n_cells)."""
-    from eristropy_ray.pipelines.queries import q_ann_ivf
+    crash with a ragged FixedSizeList (tiny corpora)."""
+    from eristropy_ray.pipelines.queries import (
+        _IVF_N_CELLS,
+        _KNN_K,
+        _embedding_dim,
+        _embedding_plan,
+        _ivf_assign,
+        _merge_knn,
+        _topk_partial,
+    )
 
-    out = q_ann_ivf(
-        "/root/testdata/sf0.001", k=3, n_cells=4, n_probe=8
-    ).to_pandas()
+    sf = "/root/testdata/sf0.001"
+    assign = _ivf_assign(sf, _IVF_N_CELLS + 8)
+    u = unit_rows(np.eye(3, _embedding_dim(f"{sf}/embeddings.parquet")))
+    _own, _reach, (_cell, probes) = assign(np.arange(3), u)
+    assert probes.shape == (3, _IVF_N_CELLS)
+    out = _embedding_plan(sf, assign, "qid", _topk_partial, _merge_knn).to_pandas()
     assert len(out) > 0
-    assert (out.groupby("vec_id").size() <= 3).all()
+    assert (out.groupby("vec_id").size() <= _KNN_K).all()
 
 
 def test_minhash_neardup_query_equals_exact_pairs(ray_session):
@@ -1205,10 +1248,15 @@ def test_heavy_hitters_matches_exact_top(ray_session):
     import pyarrow.parquet as pq
     import re
 
-    from eristropy_ray.pipelines.queries import _WS_TOKEN_PAT, q_heavy_hitters
+    from eristropy_ray.pipelines.queries import (
+        _HEAVY_HITTERS_K,
+        _HEAVY_HITTERS_TOPN,
+        _WS_TOKEN_PAT,
+        q_heavy_hitters,
+    )
 
     sf = "/root/testdata/sf0.001"
-    got = q_heavy_hitters(sf, k_summary=256, topn=10)
+    got = q_heavy_hitters(sf)
     texts = pq.read_table(f"{sf}/documents.parquet", columns=["text"])[
         "text"
     ].to_pylist()
@@ -1219,12 +1267,13 @@ def test_heavy_hitters_matches_exact_top(ray_session):
         for w in pat.findall(t):
             exact[w] = exact.get(w, 0) + 1
             n += 1
-    top_exact = sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
+    top_exact = sorted(exact.items(), key=lambda kv: (-kv[1], kv[0]))
     for w, e in zip(got["word"], got["est"]):
         t = exact.get(w, 0)
-        assert e <= t and t - e <= n / 256
-    # the sketch's top-10 is the exact top-10 on this corpus
-    assert set(got["word"]) == {w for w, _ in top_exact}
+        assert e <= t and t - e <= n / _HEAVY_HITTERS_K
+    # the sketch's top rows are the exact top rows on this corpus
+    assert len(got) == _HEAVY_HITTERS_TOPN
+    assert list(got["word"]) == [w for w, _ in top_exact[:_HEAVY_HITTERS_TOPN]]
 
 
 def test_bloom_filter_properties():
@@ -1434,22 +1483,6 @@ def test_topk_per_user_matches_pandas_rank(ray_session):
         ).all(), col
 
 
-def test_binary_feature_schema_identical_across_extractors():
-    """Both extractor modes emit the SAME output schema (decode_ok
-    included in fake mode too) so downstream stages written against one
-    mode cannot silently break against the other."""
-    t = pa.table(
-        {
-            "item_id": pa.array([1], pa.int64()),
-            "payload": pa.array([b"\x00\x01"], pa.binary()),
-        }
-    )
-    fake = BinaryFeatureStage(extractor="fake")(t)
-    real = BinaryFeatureStage(extractor="real")(t)
-    assert fake.schema.names == real.schema.names
-    assert fake["decode_ok"].to_pylist() == [True]
-
-
 def test_sample_key64_bijective_and_deterministic():
     """Distinct ids -> distinct keys (splitmix64 is a bijection on the
     64-bit domain) and repeated calls are identical — the properties
@@ -1479,11 +1512,11 @@ def test_reservoir_sample_query(ray_session):
     import pyarrow.parquet as pq
 
     from eristropy_ray.datapipe.sketch import sample_key64
+    from eristropy_ray.pipelines.queries import _RESERVOIR_K as k
     from eristropy_ray.pipelines.queries import q_reservoir_sample
 
-    sf = "/root/testdata/sf0.001"
-    k = 137
-    got = q_reservoir_sample(sf, k=k)
+    sf = "/root/testdata/sf0.01"  # 10,000 events: the sample is a tenth
+    got = q_reservoir_sample(sf)
     ev = pq.read_table(f"{sf}/events.parquet").to_pandas()
     key = sample_key64(ev["event_id"].to_numpy(np.int64))
     order = np.argsort(key)[:k]
@@ -1525,7 +1558,12 @@ def test_image_resize_stage_roundtrip_and_degradation():
     import pyarrow as pa
 
     from eristropy_ray.datapipe.media import decode_png, encode_png
-    from eristropy_ray.datapipe.multimodal import ImageResizeStage, resize_nearest
+    from eristropy_ray.datapipe.multimodal import (
+        RESIZE_H,
+        RESIZE_W,
+        ImageResizeStage,
+        resize_nearest,
+    )
 
     rng = np.random.default_rng(11)
     px = rng.integers(0, 256, size=(24, 10, 1), dtype=np.uint8)
@@ -1538,12 +1576,13 @@ def test_image_resize_stage_roundtrip_and_degradation():
             ),
         }
     )
-    out = ImageResizeStage(out_h=6, out_w=4)(batch)
+    out = ImageResizeStage()(batch)
     assert out["resize_ok"].to_pylist() == [True, False, False]
     assert out["in_height"].to_pylist() == [24, 0, 0]
     assert out["in_width"].to_pylist() == [10, 0, 0]
     got = decode_png(out["resized"].to_pylist()[0])
-    np.testing.assert_array_equal(got, resize_nearest(px, 6, 4))
+    assert got.shape == (RESIZE_H, RESIZE_W, 1)
+    np.testing.assert_array_equal(got, resize_nearest(px, RESIZE_H, RESIZE_W))
     assert out["resized"].to_pylist()[1] == b""
     assert set(out.column_names) == {
         "doc_id", "resized", "in_height", "in_width",
@@ -1556,7 +1595,7 @@ def test_image_resize_query(ray_session):
     doc_ids not divisible by 7) and degrades the rest."""
     from eristropy_ray.pipelines.queries import q_image_resize
 
-    got = q_image_resize("/root/testdata/sf0.001", out_h=8, out_w=8).to_pandas()
+    got = q_image_resize("/root/testdata/sf0.001").to_pandas()
     ids = got["doc_id"].to_numpy()
     expect_ok = (ids % 7 != 0) & (ids % 2 == 0)
     np.testing.assert_array_equal(got["resize_ok"].to_numpy(), expect_ok)
@@ -1568,23 +1607,25 @@ def test_image_resize_query(ray_session):
 
 
 def test_frame_sample_query(ray_session):
-    """The 1->N frame explode emits exactly n_frames rows per doc with
-    frame_idx 0..n-1, non-empty decoded windows for every decodable
-    payload (PNG and WAV alike) and empty frames for the JPEG-magic
-    rows."""
+    """The 1->N frame explode emits exactly N_FRAMES rows per doc with
+    frame_idx 0..N_FRAMES-1, non-empty decoded windows for every
+    decodable payload (PNG and WAV alike) and empty frames for the
+    JPEG-magic rows."""
     import duckdb
 
+    from eristropy_ray.datapipe.multimodal import FRAME_BYTES, N_FRAMES
     from eristropy_ray.pipelines.queries import q_frame_sample
 
-    got = q_frame_sample("/root/testdata/sf0.001", n_frames=3).to_pandas()
+    got = q_frame_sample("/root/testdata/sf0.001").to_pandas()
     n_docs = duckdb.sql(
         "SELECT COUNT(*) FROM '/root/testdata/sf0.001/documents.parquet'"
     ).fetchone()[0]
-    assert len(got) == 3 * n_docs
+    assert len(got) == N_FRAMES * n_docs
     per_doc = got.groupby("doc_id")["frame_idx"].agg(["count", "min", "max"])
-    assert (per_doc["count"] == 3).all()
+    assert (per_doc["count"] == N_FRAMES).all()
     assert (per_doc["min"] == 0).all()
-    assert (per_doc["max"] == 2).all()
+    assert (per_doc["max"] == N_FRAMES - 1).all()
+    assert (got["n_frame_bytes"] <= FRAME_BYTES).all()
     decodable = got["doc_id"].to_numpy() % 7 != 0
     assert (got.loc[decodable, "n_frame_bytes"] > 0).all()
     assert (got.loc[~decodable, "n_frame_bytes"] == 0).all()
@@ -1770,12 +1811,12 @@ def test_sketch_partials_zero_row_batch():
             "value": pa.array([], pa.float64()),
         }
     )
-    hdr = _hdr_partial_by_type(batch, 7)
+    hdr = _hdr_partial_by_type(batch)
     assert hdr.num_rows == 0
     assert hdr.schema == pa.schema(
         [("event_type", pa.string()), ("bucket", pa.int64()), ("n", pa.int64())]
     )
-    hll = _hll_partial_by_type(batch, 12)
+    hll = _hll_partial_by_type(batch)
     assert hll.num_rows == 0
     assert hll.schema == pa.schema([("event_type", pa.string()), ("regs", pa.binary())])
 

@@ -209,6 +209,20 @@ def test_compute_all_sampen_rejects_non_finite(ray_session, as_dataset):
         compute_all_sampen(_non_finite(as_dataset, np.nan), cfg)
 
 
+def test_validation_leaves_the_callers_context_alone(ray_session):
+    """A failing pipeline raises ``SignalValidationError`` itself, and
+    the caller's Dataset does not start raising original map exceptions:
+    validation asks for them on its own copy of the context."""
+    ds = _non_finite(True, np.nan)
+    assert not ds.context.raise_original_map_exception
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SampEnSettingWarning)
+        cfg = SampEnConfig(m=2, r=0.2, n_boot=10, n_trials=5)
+    with pytest.raises(SignalValidationError, match="NaN"):
+        compute_all_sampen(ds, cfg)
+    assert not ds.context.raise_original_map_exception
+
+
 @pytest.mark.parametrize("as_dataset", [False, True], ids=["frame", "dataset"])
 def test_sampen_efficiency_rejects_non_finite(ray_session, as_dataset):
     with pytest.raises(SignalValidationError, match="infinite"):

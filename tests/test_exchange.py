@@ -27,6 +27,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from eristropy_ray.pipelines.exchange import (
+    _NPARTS,
     exchange,
     fold_by,
     keyed_combine,
@@ -261,8 +262,8 @@ def test_exchange_hands_whole_keys_without_part(ray_session, kind):
 
 def test_partition_of_integer_hash_is_knuth_uint64():
     ids = np.array([-3, 0, 1, 2**40, 2**63 - 1], np.int64)
-    want = (ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(8)
-    np.testing.assert_array_equal(partition_of(pa.array(ids), 8), want.astype(np.int64))
+    want = (ids.astype(np.uint64) * np.uint64(2654435761)) % np.uint64(_NPARTS)
+    np.testing.assert_array_equal(partition_of(pa.array(ids)), want.astype(np.int64))
     s = partition_of(pa.array(["a", "b", "a"]))
     assert s[0] == s[2] and s.dtype == np.int64
 
@@ -344,22 +345,21 @@ def test_migrated_entries_match_oracle_on_degenerate_tables(
     ["rollup_1h", "rollup_1d", "zscore", "hopping_window", "streaming_window",
      "rolling_mean", "running_sum"],
 )
-def test_micro_sums_reject_non_finite_values(
-    ray_session, sf_tiny, tmp_path, monkeypatch, name
-):
+def test_micro_sums_reject_non_finite_values(ray_session, sf_tiny, tmp_path, name):
     """NaN and +inf in ``events.value`` raise ``micros``' ValueError
-    instead of summing as INT64_MIN. (Ray wraps a map's exception in a
-    ``UserCodeException`` unless the context asks for the original.)"""
+    instead of summing as INT64_MIN, as a ``ValueError`` the caller can
+    catch: ``queries._read`` asks its own context for the original
+    exception, and the session's context is left as it was."""
     from ray.data import DataContext
 
     from eristropy_ray.pipelines.queries import QUERIES
     from tools.check_oracle import to_pandas
 
-    ctx = DataContext.get_current()
-    monkeypatch.setattr(ctx, "raise_original_map_exception", True)
+    assert not DataContext.get_current().raise_original_map_exception
     sf = _degenerate(Path(sf_tiny), tmp_path / "non_finite", "non_finite")
     with pytest.raises(ValueError, match="DECIMAL"):
         to_pandas(QUERIES[name](sf))
+    assert not DataContext.get_current().raise_original_map_exception
 
 
 _JOIN_IN_FRESH_SESSION = """

@@ -218,7 +218,7 @@ def test_retention_keeps_blocks_with_in_retention_points(tmp_path):
         ),
         d / "b.parquet",
     )
-    deleted = apply_retention(tmp_path, now, {"1d": 7 * day}, subdirs=("blocks",))
+    deleted = apply_retention(tmp_path, now, {"1d": 7 * day})
     assert deleted == {"1d": 1}
     assert (d / "a.parquet").exists() and not (d / "b.parquet").exists()
 
@@ -350,7 +350,7 @@ def test_retention_sparse_blocks_block_end(tmp_path):
         ),
         d / "expired.parquet",
     )
-    deleted = apply_retention(tmp_path, now, {"1d": 7 * day}, subdirs=("blocks",))
+    deleted = apply_retention(tmp_path, now, {"1d": 7 * day})
     assert deleted == {"1d": 1}
     assert (d / "sparse.parquet").exists()
     assert not (d / "expired.parquet").exists()
@@ -376,7 +376,7 @@ def test_retention_skips_corrupt_file(tmp_path):
         ),
         d / "expired.parquet",
     )
-    deleted = apply_retention(tmp_path, now, {"1d": 7 * day}, subdirs=("blocks",))
+    deleted = apply_retention(tmp_path, now, {"1d": 7 * day})
     assert deleted == {"1d": 1}
     assert (d / "corrupt.parquet").exists()  # skipped, never deleted
 

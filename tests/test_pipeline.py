@@ -594,14 +594,13 @@ def test_resume_after_partial_failure_does_not_duplicate(
         )
 
 
-def test_hopping_window_non_divisible_span(ray_session, tmp_path):
-    """span not a multiple of slide: every window containing an event
-    must be counted (ceil hops + membership filter), pinned against a
-    brute-force per-window scan."""
+def test_hopping_window_matches_brute_force(ray_session, tmp_path):
+    """Every window containing an event is counted, with its exact sum,
+    pinned against a brute-force per-window scan."""
     import pyarrow as pa
     import pyarrow.parquet as pq
 
-    from eristropy_ray.pipelines.queries import q_hopping_window
+    from eristropy_ray.pipelines.queries import _HOP_SLIDE_US, _HOPS, q_hopping_window
 
     rng = np.random.default_rng(9)
     n = 400
@@ -618,9 +617,10 @@ def test_hopping_window_non_divisible_span(ray_session, tmp_path):
         ),
         tmp_path / "events.parquet",
     )
-    span, slide = 3_500_000_000, 1_400_000_000  # non-divisible: ceil=3
+    slide = _HOP_SLIDE_US
+    span = _HOPS * slide
     out = (
-        q_hopping_window(str(tmp_path), span_us=span, slide_us=slide)
+        q_hopping_window(str(tmp_path))
         .to_pandas()
         .sort_values(["signal_id", "window_start_us"])
         .reset_index(drop=True)
@@ -631,7 +631,7 @@ def test_hopping_window_non_divisible_span(ray_session, tmp_path):
         v_u = val[uid == u]
         starts = np.unique(
             np.array(
-                [t - t % slide - k * slide for t in t_u for k in range(3)],
+                [t - t % slide - k * slide for t in t_u for k in range(_HOPS)],
                 dtype=np.int64,
             )
         )

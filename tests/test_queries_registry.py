@@ -19,6 +19,20 @@ def test_oracle_backed_queries_come_first():
     ]
 
 
+def test_every_entry_takes_only_sf_dir():
+    """Every caller runs an entry as ``fn(sf_dir)``, so an entry has one
+    configuration: its values are module constants, and the SQL twin of
+    an oracle entry is generated from the same constants."""
+    import inspect
+
+    extra = {
+        name: list(inspect.signature(fn).parameters)
+        for name, fn in QUERIES.items()
+        if list(inspect.signature(fn).parameters) != ["sf_dir"]
+    }
+    assert not extra, extra
+
+
 def test_every_oracle_has_a_query():
     missing = set(ORACLE_SQL) - set(QUERIES)
     assert not missing, missing
